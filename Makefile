@@ -1,4 +1,4 @@
-.PHONY: all build test bench examples clean check bench-quick bench-ladder benchdiff chaos-quick keyed lint rodscan rodproto rodunits promcheck sarif
+.PHONY: all build test bench examples clean check bench-quick bench-ladder benchdiff chaos-quick keyed lint promcheck
 
 all: build
 
@@ -8,17 +8,15 @@ build:
 test:
 	dune runtest
 
-# The tier-1 gate: formatting (dune files) + build + lint + full test
-# suite + the seeded chaos smoke run + the enforced perf diff (a fresh
-# quick ladder record over the place/* and controller/* rungs, compared
-# against the previous one; noisy fits with r^2 < 0.9 are skipped).
+# The tier-1 gate: formatting (dune files) + build + static analysis +
+# full test suite + the seeded chaos smoke run + the enforced perf diff
+# (a fresh quick ladder record over the place/* and controller/* rungs,
+# compared against the previous one; noisy fits with r^2 < 0.9 are
+# skipped).
 check:
 	dune build @fmt
 	dune build @all
 	dune build @lint
-	dune build @rodscan
-	dune build @rodproto
-	dune build @rodunits
 	dune runtest
 	dune build @chaos-quick
 	dune build @keyed
@@ -26,33 +24,15 @@ check:
 	$(MAKE) bench-ladder
 	$(MAKE) benchdiff
 
-# rodlint over lib/ and bin/ (parse-tree rules), rodscan over the
-# library typedtrees (interprocedural determinism taint, parallel race
-# lint, hot-path allocation check), rodproto (migration-protocol
-# typestate + gated-mutation analysis) and rodunits (dimensional
-# analysis of the load-model arithmetic) — see DESIGN.md §10, §13 and
-# §15 for the rule catalogues and escape hatches.
+# Static analysis: tools/rodcheck runs its four passes — lint
+# (parse-tree rules), scan (determinism taint, pool races, hot-loop
+# allocation), proto (migration-protocol typestate) and units
+# (dimensional analysis of the load-model arithmetic) — over lib/ and
+# bin/ against rodcheck.allow, writes _build/default/rod-analysis.sarif
+# and runs the fixture self-test.  See DESIGN.md §8, §10, §13 and §15
+# for the rule catalogues and escape hatches.
 lint:
-	dune build @lint @rodscan @rodproto @rodunits
-
-# Typedtree analysis and its fixture self-test only.
-rodscan:
-	dune build @rodscan
-
-# Protocol typestate verification and its fixture self-test only.
-rodproto:
-	dune build @rodproto
-
-# Dimensional analysis and its fixture self-test only.
-rodunits:
-	dune build @rodunits
-
-# One SARIF report for the whole static-analysis suite: run all four
-# analyzers with --sarif and merge the per-tool logs into
-# rod-analysis.sarif (one run per tool), the artifact the CI workflow
-# uploads.  Exit status reflects the analyzers: any finding fails.
-sarif:
-	dune build @sarif
+	dune build @lint
 
 # Seeded fault-injection smoke suite: every chaos scenario in quick
 # mode, judged by the differential oracles (fails the build on any

@@ -722,29 +722,7 @@ let analyze_cmd =
       & info [] ~docv:"PLAN"
           ~doc:
             "A cost-model graph ($(b,.rodgraph)) or a query-language source \
-             file (profiled on synthetic data first).  With \
-             $(b,--check-proto) or $(b,--check-units), a directory of \
-             compiled $(b,.cmt) files instead (e.g. _build/default/lib).")
-  in
-  let proto_flag =
-    Arg.(
-      value & flag
-      & info [ "check-proto" ]
-          ~doc:
-            "Run the migration-protocol typestate and gated-mutation \
-             analysis (tools/rodproto) over the $(b,.cmt) files under \
-             $(i,PLAN) instead of analyzing a query plan; findings flow \
-             through the same $(b,--json) / $(b,--sarif) outputs.")
-  in
-  let units_flag =
-    Arg.(
-      value & flag
-      & info [ "check-units" ]
-          ~doc:
-            "Run the dimensional analysis of the load-model arithmetic \
-             (tools/rodunits) over the $(b,.cmt) files under $(i,PLAN) \
-             instead of analyzing a query plan; findings flow through the \
-             same $(b,--json) / $(b,--sarif) outputs.")
+             file (profiled on synthetic data first).")
   in
   let cap_arg =
     Arg.(
@@ -769,7 +747,7 @@ let analyze_cmd =
       & info [ "sarif" ] ~docv:"PATH"
           ~doc:
             "Also write the report as SARIF 2.1.0 to $(docv) — the same \
-             format tools/rodscan emits, so both analyzers feed one code \
+             format tools/rodcheck emits, so both analyzers feed one code \
              scanning pipeline.")
   in
   let rate_arg =
@@ -778,145 +756,7 @@ let analyze_cmd =
       & info [ "profile-rate" ] ~docv:"TPS"
           ~doc:"Synthetic tuple rate per input used when profiling a query file.")
   in
-  let run_proto file json sarif =
-    let rec collect acc path =
-      if Sys.is_directory path then
-        Sys.readdir path |> Array.to_list |> List.sort String.compare
-        |> List.fold_left
-             (fun acc entry -> collect acc (Filename.concat path entry))
-             acc
-      else if Filename.check_suffix path ".cmt" then path :: acc
-      else acc
-    in
-    let units =
-      collect [] file |> List.sort_uniq String.compare
-      |> List.filter_map Analysis.Scan.unit_of_cmt
-    in
-    let diags, stats = Analysis.Proto.check_units units in
-    if json then begin
-      let esc = Analysis.Sarif.escape in
-      Printf.printf "{\n  \"schema\": \"rod-rodproto/1\",\n";
-      Printf.printf "  \"units\": %d,\n" stats.Analysis.Proto.units_checked;
-      Printf.printf "  \"definitions\": %d,\n" stats.Analysis.Proto.defs_walked;
-      Printf.printf "  \"roles\": %d,\n" stats.Analysis.Proto.roles_bound;
-      Printf.printf "  \"hatches_used\": %d,\n"
-        stats.Analysis.Proto.hatches_used;
-      Printf.printf "  \"findings\": [\n";
-      List.iteri
-        (fun idx (d : Analysis.Lint.diag) ->
-          Printf.printf
-            "    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \
-             \"%s\", \"message\": \"%s\" }%s\n"
-            (esc d.file) d.line d.col (esc d.rule) (esc d.message)
-            (if idx = List.length diags - 1 then "" else ","))
-        diags;
-      Printf.printf "  ]\n}\n"
-    end
-    else begin
-      List.iter (fun d -> print_endline (Analysis.Lint.render d)) diags;
-      Printf.printf "rodproto: %d units, %d findings\n"
-        stats.Analysis.Proto.units_checked (List.length diags)
-    end;
-    Option.iter
-      (fun path ->
-        let results =
-          List.map
-            (fun (d : Analysis.Lint.diag) ->
-              {
-                Analysis.Sarif.rule_id = d.rule;
-                level = "error";
-                message = d.message;
-                file = Some d.file;
-                line = Some d.line;
-                col = Some d.col;
-              })
-            diags
-        in
-        Analysis.Sarif.write ~path ~tool:"rodproto"
-          ~rules:Analysis.Proto.sarif_rules results)
-      sarif;
-    if stats.Analysis.Proto.units_checked = 0 then
-      `Error
-        (false, Printf.sprintf "%s: no protocol-marked .cmt units found" file)
-    else if diags = [] then `Ok ()
-    else
-      `Error
-        (false, Printf.sprintf "%s: protocol verification failed" file)
-  in
-  let run_units file json sarif =
-    let rec collect acc path =
-      if Sys.is_directory path then
-        Sys.readdir path |> Array.to_list |> List.sort String.compare
-        |> List.fold_left
-             (fun acc entry -> collect acc (Filename.concat path entry))
-             acc
-      else if Filename.check_suffix path ".cmt" then path :: acc
-      else acc
-    in
-    let units =
-      collect [] file |> List.sort_uniq String.compare
-      |> List.filter_map Analysis.Scan.unit_of_cmt
-    in
-    let diags, stats = Analysis.Units.check_units units in
-    if json then begin
-      let esc = Analysis.Sarif.escape in
-      Printf.printf "{\n  \"schema\": \"rod-rodunits/1\",\n";
-      Printf.printf "  \"units\": %d,\n" (List.length units);
-      Printf.printf "  \"interfaces_annotated\": %d,\n"
-        stats.Analysis.Units.ifaces_annotated;
-      Printf.printf "  \"vals_annotated\": %d,\n"
-        stats.Analysis.Units.vals_annotated;
-      Printf.printf "  \"fields_annotated\": %d,\n"
-        stats.Analysis.Units.fields_annotated;
-      Printf.printf "  \"definitions\": %d,\n" stats.Analysis.Units.defs_walked;
-      Printf.printf "  \"hatches_used\": %d,\n"
-        stats.Analysis.Units.hatches_used;
-      Printf.printf "  \"findings\": [\n";
-      List.iteri
-        (fun idx (d : Analysis.Lint.diag) ->
-          Printf.printf
-            "    { \"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \
-             \"%s\", \"message\": \"%s\" }%s\n"
-            (esc d.file) d.line d.col (esc d.rule) (esc d.message)
-            (if idx = List.length diags - 1 then "" else ","))
-        diags;
-      Printf.printf "  ]\n}\n"
-    end
-    else begin
-      List.iter (fun d -> print_endline (Analysis.Lint.render d)) diags;
-      Printf.printf "rodunits: %d units, %d findings\n" (List.length units)
-        (List.length diags)
-    end;
-    Option.iter
-      (fun path ->
-        let results =
-          List.map
-            (fun (d : Analysis.Lint.diag) ->
-              {
-                Analysis.Sarif.rule_id = d.rule;
-                level = "error";
-                message = d.message;
-                file = Some d.file;
-                line = Some d.line;
-                col = Some d.col;
-              })
-            diags
-        in
-        Analysis.Sarif.write ~path ~tool:"rodunits"
-          ~rules:Analysis.Units.sarif_rules results)
-      sarif;
-    if units = [] then
-      `Error (false, Printf.sprintf "%s: no .cmt units found" file)
-    else if diags = [] then `Ok ()
-    else
-      `Error
-        (false, Printf.sprintf "%s: dimensional analysis failed" file)
-  in
-  let run file nodes cap seed rate threshold json sarif check_proto check_units
-      =
-    if check_proto then run_proto file json sarif
-    else if check_units then run_units file json sarif
-    else
+  let run file nodes cap seed rate threshold json sarif =
     let graph_result =
       if Filename.check_suffix file ".rodgraph" then (
         match Query.Graph_io.load ~path:file with
@@ -964,7 +804,8 @@ let analyze_cmd =
                 })
               report.Analysis.Plan_check.diags
           in
-          Analysis.Sarif.write ~path ~tool:"rod-plan-check" results)
+          Analysis.Sarif.write ~path
+            [ { Analysis.Sarif.tool = "rod-plan-check"; rules = []; results } ])
         sarif;
       if Analysis.Plan_check.ok report then `Ok ()
       else `Error (false, Printf.sprintf "%s: plan rejected by static analysis" file)
@@ -973,7 +814,7 @@ let analyze_cmd =
     Term.(
       ret
         (const run $ file_arg $ nodes_arg $ cap_arg $ seed_arg $ rate_arg
-        $ threshold_arg $ json_flag $ sarif_arg $ proto_flag $ units_flag))
+        $ threshold_arg $ json_flag $ sarif_arg))
   in
   Cmd.v
     (Cmd.info "analyze"

@@ -1,7 +1,5 @@
-(* The allow-file machinery shared by every analyzer driver.  Formerly
-   private to Lint and copy-pasted across the rodlint/rodscan/rodproto
-   mains; extracted so the parse/normalize/stale/prune semantics are
-   defined exactly once. *)
+(* The allow-file machinery behind rodcheck: parse, normalize, stale
+   detection and pruning, defined once for every pass. *)
 
 type entry = {
   path_suffix : string;
@@ -72,7 +70,7 @@ let prefix_matches ~prefix s =
 (* Paths reach the allowlist from two spellings of the same file:
    [dune build @lint] hands the linter build-relative paths
    ([lib/x.ml], or [_build/default/lib/x.ml] when someone points it at
-   the build tree), while a direct [tools/rodlint ./lib] invocation
+   the build tree), while a direct [rodcheck ./lib] invocation
    produces [./lib/x.ml].  Strip both decorations before matching so an
    entry written one way cannot silently stop matching the other. *)
 let normalize_path p =

@@ -1,10 +1,10 @@
-(** Shared allow-file machinery for the four analyzer drivers
-    (rodlint, rodscan, rodproto, rodunits).
+(** The allow-file machinery behind [tools/rodcheck], shared by its
+    four passes.
 
     One entry per line, [<path-suffix> <rule-prefix> # justification]; a
     finding is suppressed when some entry's path is a suffix of the
     finding's (normalized) path and its rule a prefix of the finding's
-    rule.  Entries that suppress nothing are stale — every driver fails
+    rule.  Entries that suppress nothing are stale — the driver fails
     on them and prunes them under [--fix] — so an allowlist cannot rot.
 
     The module is deliberately finding-type-agnostic: matching works on
@@ -35,7 +35,7 @@ val load_or_exit : tool:string -> string option -> t
 val normalize_path : string -> string
 (** Strip leading [./] and [_build/default/] decorations (repeatedly,
     in any order) so the same file matches the same allowlist entry
-    under [dune build @lint], a direct [tools/rodlint ./lib] run, and a
+    under [dune build @lint], a direct [rodcheck ./lib] run, and a
     build-tree invocation. *)
 
 val allows : t -> file:string -> rule:string -> bool
@@ -52,13 +52,13 @@ val unused : t -> (string * string) list
 val prune : t -> string -> string
 (** [prune t text] returns [text] (the allowlist file's raw contents)
     with the source line of every {e unused} entry removed and
-    everything else untouched.  Backs the drivers' [--fix] flag; call
+    everything else untouched.  Backs the driver's [--fix] flag; call
     after {!split} so live entries are marked used. *)
 
 val read_file : string -> string
 
 val fix_exit : tool:string -> allow_file:string option -> t -> rendered_kept:string list -> 'a
-(** The drivers' [--fix] mode: requires [allow_file] (exit 2
+(** The driver's [--fix] mode: requires [allow_file] (exit 2
     otherwise); prints the pruned allowlist to stdout (so the caller
     can redirect it over the stale file), the kept findings and the
     pruned-entry notes to stderr; exits 1 when findings remain, else

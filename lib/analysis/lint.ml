@@ -21,7 +21,6 @@ type ctx = {
   hot : bool;
   obs : bool;
   mutable diags : diag list;
-  mutable loop_depth : int;
 }
 
 let add ctx (loc : Location.t) rule fmt =
@@ -92,144 +91,10 @@ let check_ident ctx loc lid =
        or an explicit comparator"
   | _ -> ()
 
-(* --- parallel-safety: closures handed to the domain pool --- *)
-
-let pool_functions = [ "parallel_for"; "map_reduce"; "map_chunks"; "map_chunks_i" ]
-
-let pat_vars pat =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.Parsetree.ppat_desc with
-          | Parsetree.Ppat_var { txt; _ } -> acc := txt :: !acc
-          | Parsetree.Ppat_alias (_, { txt; _ }) -> acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it pat;
-  !acc
-
-let expr_idents e =
-  let acc = ref SSet.empty in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_ident { txt = Longident.Lident v; _ } ->
-            acc := SSet.add v !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !acc
-
 let ident_path (e : Parsetree.expression) =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } -> flatten_lid txt
   | _ -> []
-
-let first_nolabel args =
-  List.find_map
-    (function Asttypes.Nolabel, a -> Some a | _ -> None)
-    args
-
-(* In a pool closure, mutation of captured state is safe only through
-   the chunk-index idiom: a captured array written at an index that
-   involves a closure-bound variable (the [for s = lo to hi - 1] loop
-   variable) touches a range no other chunk touches. *)
-let check_pool_mutation ctx bound (e : Parsetree.expression) fn args =
-  match ident_path fn with
-  | [ ":=" ] | [ "Stdlib"; ":=" ] -> (
-    match first_nolabel args with
-    | Some { pexp_desc = Pexp_ident { txt = Longident.Lident v; _ }; _ }
-      when not (SSet.mem v bound) ->
-      add ctx e.pexp_loc "parallel/captured-mutation"
-        "assignment to captured ref %s inside a pool closure; use per-chunk \
-         accumulators combined by map_reduce, or an Atomic"
-        v
-    | _ -> ())
-  | [ ("incr" | "decr") ] | [ "Stdlib"; ("incr" | "decr") ] -> (
-    match first_nolabel args with
-    | Some { pexp_desc = Pexp_ident { txt = Longident.Lident v; _ }; _ }
-      when not (SSet.mem v bound) ->
-      add ctx e.pexp_loc "parallel/captured-mutation"
-        "incr/decr of captured ref %s inside a pool closure; use per-chunk \
-         accumulators combined by map_reduce, or an Atomic"
-        v
-    | _ -> ())
-  | [ "Array"; ("set" | "unsafe_set") ] -> (
-    match args with
-    | [ (_, arr); (_, idx); _ ] -> (
-      match arr.pexp_desc with
-      | Pexp_ident { txt = Longident.Lident v; _ }
-        when (not (SSet.mem v bound))
-             && SSet.is_empty (SSet.inter (expr_idents idx) bound) ->
-        add ctx e.pexp_loc "parallel/captured-mutation"
-          "write to captured array %s at a chunk-independent index inside a \
-           pool closure; index through the chunk range or keep the buffer \
-           local"
-          v
-      | _ -> ())
-    | _ -> ())
-  | _ -> ()
-
-let rec walk_closure ctx bound (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_fun (_, default, pat, body) ->
-    Option.iter (walk_closure ctx bound) default;
-    walk_closure ctx (SSet.union bound (SSet.of_list (pat_vars pat))) body
-  | Pexp_function cases -> List.iter (walk_case ctx bound) cases
-  | Pexp_let (rec_flag, vbs, body) ->
-    let names =
-      List.concat_map (fun vb -> pat_vars vb.Parsetree.pvb_pat) vbs
-    in
-    let inner = SSet.union bound (SSet.of_list names) in
-    let rhs_bound =
-      match rec_flag with Asttypes.Recursive -> inner | Nonrecursive -> bound
-    in
-    List.iter (fun vb -> walk_closure ctx rhs_bound vb.Parsetree.pvb_expr) vbs;
-    walk_closure ctx inner body
-  | Pexp_for (pat, lo, hi, _, body) ->
-    walk_closure ctx bound lo;
-    walk_closure ctx bound hi;
-    walk_closure ctx (SSet.union bound (SSet.of_list (pat_vars pat))) body
-  | Pexp_match (scrutinee, cases) | Pexp_try (scrutinee, cases) ->
-    walk_closure ctx bound scrutinee;
-    List.iter (walk_case ctx bound) cases
-  | Pexp_setfield (lhs, _, rhs) ->
-    (match lhs.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident v; _ } when not (SSet.mem v bound) ->
-      add ctx e.pexp_loc "parallel/captured-mutation"
-        "mutable-field write on captured %s inside a pool closure; fold \
-         per-chunk results instead"
-        v
-    | _ -> ());
-    walk_closure ctx bound lhs;
-    walk_closure ctx bound rhs
-  | Pexp_apply (fn, args) ->
-    check_pool_mutation ctx bound e fn args;
-    walk_closure ctx bound fn;
-    List.iter (fun (_, a) -> walk_closure ctx bound a) args
-  | _ ->
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr = (fun _ e' -> walk_closure ctx bound e');
-      }
-    in
-    Ast_iterator.default_iterator.expr it e
-
-and walk_case ctx bound (c : Parsetree.case) =
-  let bound = SSet.union bound (SSet.of_list (pat_vars c.pc_lhs)) in
-  Option.iter (walk_closure ctx bound) c.pc_guard;
-  walk_closure ctx bound c.pc_rhs
 
 (* --- hot-path hygiene helpers --- *)
 
@@ -271,71 +136,32 @@ let main_iterator ctx =
   let expr it (e : Parsetree.expression) =
     (match e.pexp_desc with
     | Pexp_ident { txt; _ } -> check_ident ctx e.pexp_loc txt
+    | Pexp_apply (fn, [ (_, a); (_, b) ]) when ctx.hot -> (
+      match ident_path fn with
+      | [ (("=" | "<>") as op) ] when looks_float a || looks_float b ->
+        add ctx e.pexp_loc "hot/float-eq"
+          "polymorphic %s on floats in a hot module; use Float.compare (or \
+           an epsilon) — float equality also mishandles nan"
+          op
+      | _ -> ())
     | _ -> ());
-    match e.pexp_desc with
-    | Pexp_apply (fn, args) ->
-      (match List.rev (ident_path fn) with
-      | name :: _ when List.mem name pool_functions ->
-        List.iter
-          (fun ((label : Asttypes.arg_label), arg) ->
-            let is_closure =
-              match arg.Parsetree.pexp_desc with
-              | Pexp_fun _ | Pexp_function _ -> true
-              | _ -> false
-            in
-            let relevant =
-              match label with
-              | Nolabel | Labelled "map" -> true
-              | Labelled _ | Optional _ -> false
-            in
-            if relevant && is_closure then walk_closure ctx SSet.empty arg)
-          args
-      | _ -> ());
-      (if ctx.hot then
-         match (ident_path fn, args) with
-         | [ (("=" | "<>") as op) ], [ (_, a); (_, b) ]
-           when looks_float a || looks_float b ->
-           add ctx e.pexp_loc "hot/float-eq"
-             "polymorphic %s on floats in a hot module; use Float.compare \
-              (or an epsilon) — float equality also mishandles nan"
-             op
-         | _ -> ());
-      Ast_iterator.default_iterator.expr it e
-    | Pexp_for (_, _, _, _, _) | Pexp_while (_, _) ->
-      ctx.loop_depth <- ctx.loop_depth + 1;
-      Ast_iterator.default_iterator.expr it e;
-      ctx.loop_depth <- ctx.loop_depth - 1
-    | Pexp_fun _ | Pexp_function _ when ctx.hot && ctx.loop_depth > 0 ->
-      add ctx e.pexp_loc "hot/closure-in-loop"
-        "function literal inside a loop body in a hot module allocates one \
-         closure per iteration; hoist it out of the loop";
-      let saved = ctx.loop_depth in
-      ctx.loop_depth <- 0;
-      Ast_iterator.default_iterator.expr it e;
-      ctx.loop_depth <- saved
-    | _ -> Ast_iterator.default_iterator.expr it e
+    Ast_iterator.default_iterator.expr it e
   in
   { Ast_iterator.default_iterator with expr }
 
-let contains_substring haystack needle =
-  let hl = String.length haystack and nl = String.length needle in
-  let rec scan i =
-    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
-  in
-  scan 0
-
 let lint_string ?hot ?obs ~filename source =
-  let hot =
-    match hot with Some h -> h | None -> contains_substring source hot_marker
+  let comments = lazy (Comments.of_string source) in
+  let marked flag marker =
+    match flag with
+    | Some b -> b
+    | None -> Comments.mem (Lazy.force comments) marker
   in
-  let obs =
-    match obs with Some o -> o | None -> contains_substring source obs_marker
-  in
+  let hot = marked hot hot_marker and obs = marked obs obs_marker in
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf filename;
   match Parse.implementation lexbuf with
   | structure ->
-    let ctx = { file = filename; hot; obs; diags = []; loop_depth = 0 } in
+    let ctx = { file = filename; hot; obs; diags = [] } in
     let it = main_iterator ctx in
     it.structure it structure;
     List.rev ctx.diags
@@ -365,28 +191,6 @@ let lint_file ?hot ?obs path =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   lint_string ?hot ?obs ~filename:path source
-
-(* --- allowlist ---
-
-   The machinery itself lives in {!Allowlist} (it is shared by all four
-   analyzer drivers); these are compatibility delegations so existing
-   callers and tests of the original Lint API keep working. *)
-
-type allowlist = Allowlist.t
-
-let empty_allowlist = Allowlist.empty
-let allowlist_of_string = Allowlist.of_string
-let load_allowlist = Allowlist.load
-let normalize_path = Allowlist.normalize_path
-
-let split_allowed allowlist diags =
-  Allowlist.split
-    ~file:(fun (d : diag) -> d.file)
-    ~rule:(fun (d : diag) -> d.rule)
-    allowlist diags
-
-let unused_entries = Allowlist.unused
-let prune = Allowlist.prune
 
 let render (d : diag) =
   Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message

@@ -11,15 +11,6 @@
       [Sys.time] make results depend on the clock.  The profiler is the
       one legitimate user and is allowlisted.
 
-    {b Parallel safety} (every file): a function literal passed to
-    [Pool.parallel_for] / [map_reduce] / [map_chunks] must not mutate
-    captured state except through the chunk-index idiom (writes to a
-    captured array are fine when the index involves a variable bound
-    inside the closure — the [for s = lo to hi - 1] pattern touching
-    disjoint ranges).  Flagged: [:=] / [incr] / [decr] on captured
-    refs, mutable-field assignment on captured records, and
-    [captured.(i) <- e] where [i] mentions no closure-bound variable.
-
     {b Hot-path hygiene} (only in files carrying a [rodlint: hot]
     marker comment):
     - [hot/poly-compare] — the polymorphic [compare] (use
@@ -28,8 +19,6 @@
     - [hot/float-eq] — [=] / [<>] where an operand is syntactically a
       float (float equality is almost always an epsilon bug, and
       polymorphic equality boxes).
-    - [hot/closure-in-loop] — a function literal inside a [for]/[while]
-      body allocates one closure per iteration.
 
     {b Telemetry discipline} (only in files carrying a [rodlint: obs]
     marker comment):
@@ -41,9 +30,12 @@
       string renderers ([sprintf], [ksprintf], [asprintf], fprintf to a
       buffer or channel) stay legal.
 
-    Diagnostics carry [file:line:col] positions.  An allowlist file
-    suppresses known-good findings; every entry needs a justification
-    comment and unused entries are reported so the list cannot rot. *)
+    Captured-state mutation in pool closures and per-iteration closures
+    in hot loops are {!Scan}'s [race/*] and [alloc/closure] rules, which
+    see through aliases and helper calls.
+
+    Markers count only inside comments ({!Comments}).  Diagnostics
+    carry [file:line:col] positions. *)
 
 type diag = {
   file : string;
@@ -65,43 +57,6 @@ val lint_string : ?hot:bool -> ?obs:bool -> filename:string -> string -> diag li
     single [parse/error] diagnostic. *)
 
 val lint_file : ?hot:bool -> ?obs:bool -> string -> diag list
-
-type allowlist = Allowlist.t
-(** Entries of [(path suffix, rule prefix)]; a diagnostic is suppressed
-    when some entry's path is a suffix of the diagnostic's path and its
-    rule a prefix of the diagnostic's rule.  The machinery lives in the
-    shared {!Allowlist} module (all four analyzer drivers use it); the
-    values below are kept as delegations for existing callers. *)
-
-val allowlist_of_string : source:string -> string -> allowlist
-(** Parse allowlist text: one [<path> <rule> # justification] entry per
-    line; blank lines and [#]-leading comment lines ignored.
-    @raise Failure listing {e every} malformed line (with [source] and
-    line numbers), one per output line, so a broken file costs one run
-    to fix. *)
-
-val load_allowlist : string -> allowlist
-
-val empty_allowlist : allowlist
-
-val normalize_path : string -> string
-(** Strip leading [./] and [_build/default/] decorations (repeatedly,
-    in any order) so the same file matches the same allowlist entry
-    under [dune build @lint], a direct [tools/rodlint ./lib] run, and a
-    build-tree invocation. *)
-
-val split_allowed : allowlist -> diag list -> diag list * diag list
-(** [(kept, suppressed)]; marks matching entries as used. *)
-
-val unused_entries : allowlist -> (string * string) list
-(** Entries that suppressed nothing since loading, as
-    [(path, rule)] pairs — stale allowlist hygiene. *)
-
-val prune : allowlist -> string -> string
-(** [prune allowlist text] returns [text] (the allowlist file's raw
-    contents) with the source line of every {e unused} entry removed
-    and everything else untouched.  Backs the drivers' [--fix] flag;
-    call after {!split_allowed} so live entries are marked used. *)
 
 val render : diag -> string
 (** [file:line:col: [rule] message] — the compiler-style format. *)

@@ -3,18 +3,15 @@
    analysis proving every deployed-assignment write is dominated by a
    Plan_check call.  Units opt in with a protocol marker and name their
    protocol state with role comments; see proto.mli for the rule
-   catalogue and marker grammar.  Like Scan, the marker strings are
-   assembled at runtime so this file's own source never matches
-   them. *)
+   catalogue and marker grammar. *)
 
 open Typedtree
 module SSet = Set.Make (String)
 
-let protocol_marker = "rodproto: " ^ "protocol"
-let role_marker = "rodproto: " ^ "role "
-let gated_by_marker = "rodproto: " ^ "gated-by "
-let expect_marker = "rodproto-" ^ "expect:"
-let passes = [ "protocol-typestate"; "gated-mutation" ]
+let protocol_marker = "rodproto: protocol"
+let role_marker = "rodproto: role "
+let gated_by_marker = "rodproto: gated-by "
+let expect_marker = "rodproto-expect:"
 
 let rules =
   [
@@ -114,43 +111,8 @@ let role_of_string = function
   | "resume-event" -> Some Rresume
   | _ -> None
 
-let find_substring line needle =
-  let hl = String.length line and nl = String.length needle in
-  let rec scan i =
-    if i + nl > hl then None
-    else if String.sub line i nl = needle then Some i
-    else scan (i + 1)
-  in
-  scan 0
-
-let contains_substring haystack needle = find_substring haystack needle <> None
-
-(* The remainder of [line] after [marker], clipped at a comment
-   close. *)
-let rest_after line marker =
-  match find_substring line marker with
-  | None -> None
-  | Some i ->
-    let rest =
-      String.sub line
-        (i + String.length marker)
-        (String.length line - i - String.length marker)
-    in
-    Some
-      (match find_substring rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest)
-
-let token_after line marker =
-  match rest_after line marker with
-  | None -> None
-  | Some rest -> (
-    match
-      String.split_on_char ' ' (String.trim rest)
-      |> List.filter (fun t -> t <> "")
-    with
-    | t :: _ -> Some t
-    | [] -> None)
+let first_word (h : Comments.hit) =
+  match Comments.words h.rest with w :: _ -> Some w | [] -> None
 
 type hatch = { fn : string; hline : int; mutable used : bool }
 
@@ -163,45 +125,33 @@ type meta = {
 }
 
 let meta_of_unit (u : Scan.unit_info) =
-  let protocol = ref false
-  and protocol_line = ref 1
-  and role_lines = ref []
-  and bad_roles = ref []
-  and hatches = Hashtbl.create 7 in
-  List.iteri
-    (fun idx line ->
-      let ln = idx + 1 in
-      if contains_substring line protocol_marker && not !protocol then begin
-        protocol := true;
-        protocol_line := ln
-      end;
-      (match token_after line role_marker with
-      | Some tok -> (
-        match role_of_string tok with
-        | Some r -> role_lines := (ln, r) :: !role_lines
-        | None -> bad_roles := (ln, tok) :: !bad_roles)
-      | None -> ());
-      match token_after line gated_by_marker with
-      | Some fn -> Hashtbl.replace hatches ln { fn; hline = ln; used = false }
-      | None -> ())
-    (String.split_on_char '\n' u.Scan.text);
+  let find = Comments.find u.Scan.comments in
+  let roles =
+    List.filter_map
+      (fun (h : Comments.hit) ->
+        Option.map (fun tok -> (h.line, tok)) (first_word h))
+      (find role_marker)
+  in
+  let hatches = Hashtbl.create 7 in
+  List.iter
+    (fun (h : Comments.hit) ->
+      Option.iter
+        (fun fn ->
+          Hashtbl.replace hatches h.line { fn; hline = h.line; used = false })
+        (first_word h))
+    (find gated_by_marker);
+  let protocol = find protocol_marker in
   {
-    protocol = !protocol;
-    protocol_line = !protocol_line;
-    role_lines = List.rev !role_lines;
-    bad_roles = List.rev !bad_roles;
+    protocol = protocol <> [];
+    protocol_line = (match protocol with h :: _ -> h.line | [] -> 1);
+    role_lines =
+      List.filter_map
+        (fun (ln, tok) -> Option.map (fun r -> (ln, r)) (role_of_string tok))
+        roles;
+    bad_roles =
+      List.filter (fun (_, tok) -> role_of_string tok = None) roles;
     hatches;
   }
-
-let expect_of_unit (u : Scan.unit_info) =
-  String.split_on_char '\n' u.Scan.text
-  |> List.concat_map (fun line ->
-         match rest_after line expect_marker with
-         | None -> []
-         | Some rest ->
-           String.split_on_char ' ' rest
-           |> List.concat_map (String.split_on_char ',')
-           |> List.filter (fun t -> t <> ""))
 
 let relevant u =
   let m = meta_of_unit u in

@@ -51,12 +51,12 @@
     itself call [Plan_check] directly — a hatch naming an unknown or
     no-longer-gating function fails ([proto/stale-gate]), and a hatch
     that suppresses nothing fails ([proto/unused-hatch]), mirroring
-    [rodscan.allow] semantics.  Ungated writes are
+    allowlist semantics.  Ungated writes are
     [proto/ungated-mutation]; ungated [Plan.make] calls are
     [proto/ungated-plan].
 
-    Findings reuse {!Lint.diag} and the allowlist machinery, so a
-    [rodproto.allow] file works exactly like [rodscan.allow]. *)
+    Markers and hatches count only inside comments ({!Comments}).
+    Findings reuse {!Lint.diag}; allowlist filtering is {!Check}'s. *)
 
 val protocol_marker : string
 (** ["rodproto: protocol"] — opts a module into both passes. *)
@@ -71,9 +71,6 @@ val gated_by_marker : string
 
 val expect_marker : string
 (** ["rodproto-expect:"] — declares a fixture's expected rule ids. *)
-
-val passes : string list
-(** Names of the analysis passes, for [--stats]. *)
 
 val rules : (string * string) list
 (** [(rule id, short description)] catalogue, for SARIF and docs. *)
@@ -106,9 +103,6 @@ type proto_stats = {
   roles_bound : int;  (** Idents + constructors + labels given a role. *)
   hatches_used : int;
 }
-
-val expect_of_unit : Scan.unit_info -> string list
-(** Rule ids from [rodproto-expect:] comments in the unit's source. *)
 
 val relevant : Scan.unit_info -> bool
 (** Does this unit opt into rodproto (protocol marker or any role)? *)

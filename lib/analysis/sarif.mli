@@ -1,7 +1,7 @@
-(** Minimal SARIF 2.1.0 emitter, shared by [tools/rodscan] and
+(** Minimal SARIF 2.1.0 emitter, shared by [tools/rodcheck] and
     [rod_cli analyze --sarif] so both static-analysis surfaces speak
-    the same machine-readable format (one [run] per invocation, one
-    [result] per finding). *)
+    the same machine-readable format: one document, one [run] per
+    analysis tool, one [result] per finding. *)
 
 type result = {
   rule_id : string;  (** Stable rule id, e.g. ["det/taint"]. *)
@@ -18,9 +18,14 @@ type rule = {
   help_uri : string;
       (** Documentation link (a [DESIGN.md] anchor); [""] omits it. *)
 }
-(** Entry of the driver's rule table ([tool.driver.rules]), shared by
-    all three analysis tools so code-scanning UIs can link findings
-    back to the rule catalogue. *)
+(** Entry of a run's rule table ([tool.driver.rules]), so
+    code-scanning UIs can link findings back to the rule catalogue. *)
+
+type run = {
+  tool : string;  (** [tool.driver.name]. *)
+  rules : rule list;  (** [[]] omits the rule table. *)
+  results : result list;
+}
 
 val rule : ?help_uri:string -> string -> string -> rule
 (** [rule ?help_uri id short_desc]. *)
@@ -30,22 +35,7 @@ val rules_of_catalogue : help_uri:string -> (string * string) list -> rule list
     and [Proto.rules] export) into SARIF rule metadata sharing one
     documentation anchor. *)
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)
+val to_string : run list -> string
+(** Render one SARIF document holding [runs] in order. *)
 
-val to_string :
-  tool:string ->
-  ?tool_version:string ->
-  ?rules:rule list ->
-  result list ->
-  string
-(** Render one SARIF run.  [rules] populates the driver's rule table
-    with ids, short descriptions and help URIs. *)
-
-val write :
-  path:string ->
-  tool:string ->
-  ?tool_version:string ->
-  ?rules:rule list ->
-  result list ->
-  unit
+val write : path:string -> run list -> unit

@@ -11,15 +11,9 @@ open Typedtree
 module SSet = Set.Make (String)
 module SMap = Map.Make (String)
 
-(* The marker strings are assembled at runtime so this file's own
-   source does not contain them verbatim — otherwise the scanner would
-   classify itself as hot/deterministic-marked and lint its own
-   implementation loops. *)
-let deterministic_marker = "rodlint: " ^ "deterministic"
-let alloc_ok_marker = "rodscan: " ^ "alloc-ok"
-let expect_marker = "rodscan-" ^ "expect:"
-
-let passes = [ "determinism-taint"; "parallel-race"; "hot-allocation" ]
+let deterministic_marker = "rodlint: deterministic"
+let alloc_ok_marker = "rodscan: alloc-ok"
+let expect_marker = "rodscan-expect:"
 
 let rules =
   [
@@ -58,24 +52,6 @@ let rules =
 let sarif_rules =
   Sarif.rules_of_catalogue
     ~help_uri:"DESIGN.md#10-typedtree-analysis-rodscan" rules
-
-(* ---------- small text utilities ---------- *)
-
-let contains_substring haystack needle =
-  let hl = String.length haystack and nl = String.length needle in
-  let rec scan i =
-    i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
-  in
-  scan 0
-
-let find_substring line needle =
-  let hl = String.length line and nl = String.length needle in
-  let rec scan i =
-    if i + nl > hl then None
-    else if String.sub line i nl = needle then Some i
-    else scan (i + 1)
-  in
-  scan 0
 
 (* ---------- canonical names ----------
 
@@ -116,59 +92,29 @@ let canon_unit_name modname = String.concat "." (canon_components modname)
 type unit_info = {
   canon : string;
   source : string;
-  text : string;
+  comments : Comments.t;
   str : structure;
   hot : bool;
   deterministic : bool;
   alloc_ok : (int, bool ref) Hashtbl.t;
-  expect : string list;
 }
 
-let parse_expect line =
-  match find_substring line expect_marker with
-  | None -> []
-  | Some i ->
-    let rest =
-      String.sub line
-        (i + String.length expect_marker)
-        (String.length line - i - String.length expect_marker)
-    in
-    let rest =
-      match find_substring rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest
-    in
-    String.split_on_char ' ' rest
-    |> List.concat_map (String.split_on_char ',')
-    |> List.filter (fun t -> t <> "")
-
-let unit_of_structure ~modname ~source ~text str =
+let unit_of_structure ~modname ~source ~comments str =
   let alloc_ok = Hashtbl.create 7 in
-  let expect = ref [] in
-  List.iteri
-    (fun idx line ->
-      if contains_substring line alloc_ok_marker then
-        Hashtbl.replace alloc_ok (idx + 1) (ref false);
-      expect := !expect @ parse_expect line)
-    (String.split_on_char '\n' text);
+  List.iter
+    (fun (h : Comments.hit) -> Hashtbl.replace alloc_ok h.line (ref false))
+    (Comments.find comments alloc_ok_marker);
   {
     canon = canon_unit_name modname;
-    source = Lint.normalize_path source;
-    text;
+    source = Allowlist.normalize_path source;
+    comments;
     str;
-    hot = contains_substring text Lint.hot_marker;
-    deterministic = contains_substring text deterministic_marker;
+    hot = Comments.mem comments Lint.hot_marker;
+    deterministic = Comments.mem comments deterministic_marker;
     alloc_ok;
-    expect = !expect;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let unit_of_cmt path =
+let unit_of_cmt ~read path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
   | cmt -> (
@@ -177,8 +123,9 @@ let unit_of_cmt path =
       let source =
         match cmt.Cmt_format.cmt_sourcefile with Some s -> s | None -> path
       in
-      let text = if Sys.file_exists source then read_file source else "" in
-      Some (unit_of_structure ~modname:cmt.Cmt_format.cmt_modname ~source ~text str)
+      Some
+        (unit_of_structure ~modname:cmt.Cmt_format.cmt_modname ~source
+           ~comments:(read source) str)
     | _ -> None)
 
 let env_initialized = ref false
@@ -203,7 +150,8 @@ let unit_of_source ~filename text =
   let modname =
     String.capitalize_ascii Filename.(remove_extension (basename filename))
   in
-  unit_of_structure ~modname ~source:filename ~text tstr
+  unit_of_structure ~modname ~source:filename
+    ~comments:(Comments.of_string text) tstr
 
 (* ---------- taint lattice ---------- *)
 
@@ -468,7 +416,7 @@ let add_diag ctx (u : unit_info) (loc : Location.t) rule fmt =
 
 let loc_string (loc : Location.t) =
   Printf.sprintf "%s:%d"
-    (Lint.normalize_path loc.loc_start.Lexing.pos_fname)
+    (Allowlist.normalize_path loc.loc_start.Lexing.pos_fname)
     loc.loc_start.Lexing.pos_lnum
 
 let det_pass ctx defs summaries taint =
@@ -491,7 +439,7 @@ let det_pass ctx defs summaries taint =
             "%s is reachable from nondeterministic source %s in a \
              deterministic-marked module (%s => %s at %s); thread a seeded \
              Random.State / injected Obs.Clock, or add a justified \
-             rodscan.allow entry"
+             rodcheck.allow entry"
             d.key src chain src (loc_string loc)
         | _ -> ()
       end)
@@ -747,9 +695,9 @@ let race_pass ctx d =
    hot-marked module (module-level initialization loops run once and
    are exempt).  An alloc-ok hatch comment on the same or the preceding
    line suppresses one site; a hatch that suppresses nothing is itself
-   a finding, so hatches cannot rot.  (The marker spellings are spelled
-   out in [Lint.hot_marker]/[alloc_ok_marker], never in comments — this file
-   is scanned too.) *)
+   a finding, so hatches cannot rot.  (Comments here never spell a
+   marker out: markers count inside comments, and this file is scanned
+   too.) *)
 
 let add_alloc ctx (u : unit_info) (loc : Location.t) rule fmt =
   let line = loc.Location.loc_start.Lexing.pos_lnum in

@@ -41,9 +41,8 @@
     the per-site escape hatch; a hatch that suppresses nothing is
     itself reported ([alloc/unused-hatch]) so hatches cannot rot.
 
-    Findings reuse {!Lint.diag} and the {!Lint.allowlist} machinery
-    (path-suffix/rule-prefix entries with justifications; stale entries
-    fail), so [rodscan.allow] works exactly like [rodlint.allow]. *)
+    Markers and hatches count only inside comments ({!Comments}).
+    Findings reuse {!Lint.diag}; allowlist filtering is {!Check}'s. *)
 
 val deterministic_marker : string
 (** ["rodlint: deterministic"] — marks a module whose results must be
@@ -53,11 +52,8 @@ val alloc_ok_marker : string
 (** ["rodscan: alloc-ok"] — per-site allocation escape hatch. *)
 
 val expect_marker : string
-(** ["rodscan-expect:"] — declares a fixture's expected rule ids (used
-    by [tools/rodscan --fixtures]). *)
-
-val passes : string list
-(** Names of the analysis passes, for [--stats]. *)
+(** ["rodscan-expect:"] — declares a fixture's expected rule ids (read
+    by {!Check.fixtures}). *)
 
 val rules : (string * string) list
 (** [(rule id, short description)] catalogue, for SARIF and docs. *)
@@ -68,20 +64,20 @@ val sarif_rules : Sarif.rule list
 type unit_info = {
   canon : string;  (** Canonical unit name, e.g. ["Feasible.Volume"]. *)
   source : string;  (** Normalized source path; may not exist on disk. *)
-  text : string;  (** Raw source text ([""] when the file is gone). *)
+  comments : Comments.t;  (** Empty when the source is not on disk. *)
   str : Typedtree.structure;
   hot : bool;
   deterministic : bool;
   alloc_ok : (int, bool ref) Hashtbl.t;
       (** Line -> used? for every [alloc-ok] hatch in the source. *)
-  expect : string list;  (** Rule ids from [rodscan-expect:] comments. *)
 }
 
-val unit_of_cmt : string -> unit_info option
+val unit_of_cmt : read:(string -> Comments.t) -> string -> unit_info option
 (** Load one compilation unit from a [.cmt] file.  [None] for
     interfaces, packs, partial implementations, or unreadable files.
-    Markers and hatches are read from the source file named inside the
-    cmt when it exists (it does under dune's [_build/default]). *)
+    Markers and hatches come from [read source], the comments of the
+    source file named inside the cmt (under dune's [_build/default] the
+    copy sits next to it). *)
 
 val unit_of_source : filename:string -> string -> unit_info
 (** Parse {e and typecheck} source text against the ambient toolchain's
@@ -122,7 +118,7 @@ val scan_units : unit_info list -> Lint.diag list * scan_stats
 (** Run all three passes over the units {e together} (the taint pass is
     interprocedural across units).  Diagnostics are sorted by
     [(file, line, col, rule)] and deduplicated; allowlist filtering is
-    the caller's job via {!Lint.split_allowed}. *)
+    the caller's job. *)
 
 (** {2 Call-graph surface shared with {!Proto}}
 

@@ -2,16 +2,14 @@
    facts are seeded from marker comments in interfaces, propagated
    interprocedurally through Scan's def-index (mul/div compose
    dimensions, add/compare require equal ones, literals adapt), and
-   checked at every arithmetic site.  Like Scan and Proto, the marker
-   strings are assembled at runtime so this file's own source never
-   matches them — and the doc comments here spell the marker without
-   its colon for the same reason. *)
+   checked at every arithmetic site.  Markers count only inside
+   comments, so the comments here spell the marker without its
+   colon. *)
 
 open Typedtree
 
-let units_marker = "rod" ^ "units:"
-let expect_marker = "rod" ^ "units-expect:"
-let passes = [ "interface-seeding"; "dimension-propagation" ]
+let units_marker = "rodunits:"
+let expect_marker = "rodunits-expect:"
 
 let rules =
   [
@@ -190,8 +188,6 @@ module Abs = struct
     | Conflict -> "conflicting"
 end
 
-(* ---------- text helpers (shared idiom with Proto) ---------- *)
-
 let find_substring line needle =
   let hl = String.length line and nl = String.length needle in
   let rec scan i =
@@ -200,20 +196,6 @@ let find_substring line needle =
     else scan (i + 1)
   in
   scan 0
-
-let rest_after line marker =
-  match find_substring line marker with
-  | None -> None
-  | Some i ->
-    let rest =
-      String.sub line
-        (i + String.length marker)
-        (String.length line - i - String.length marker)
-    in
-    Some
-      (match find_substring rest "*)" with
-      | Some j -> String.sub rest 0 j
-      | None -> rest)
 
 (* Split on a multi-char separator (the spec's arrow). *)
 let split_on_sub sep s =
@@ -302,19 +284,10 @@ let parse_iface ~canon ~file text =
      line above — the shape long signatures force; a trailing marker
      binds the declaration on its own line. *)
   let markers = Hashtbl.create 16 in
-  List.iteri
-    (fun idx line ->
-      match find_substring line units_marker with
-      | None -> ()
-      | Some i ->
-        let rest = Option.get (rest_after line units_marker) in
-        let standalone =
-          match String.trim (String.sub line 0 i) with
-          | "(*" | "(**" -> true
-          | _ -> false
-        in
-        Hashtbl.replace markers (idx + 1) (String.trim rest, standalone))
-    (String.split_on_char '\n' text);
+  List.iter
+    (fun (h : Comments.hit) ->
+      Hashtbl.replace markers h.line (String.trim h.rest, h.leads))
+    (Comments.find (Comments.of_string text) units_marker);
   let marked = Hashtbl.length markers > 0 in
   let consumed = Hashtbl.create 16 in
   let diags = ref [] and annots = ref [] and fields = ref [] in
@@ -439,37 +412,21 @@ type meta = {
 
 let meta_of_unit (u : Scan.unit_info) =
   let hatches = Hashtbl.create 7 and bad = ref [] in
-  List.iteri
-    (fun idx line ->
-      let ln = idx + 1 in
-      match rest_after line units_marker with
-      | None -> ()
-      | Some rest -> (
-        match
-          String.split_on_char ' ' (String.trim rest)
-          |> List.filter (fun t -> t <> "")
-        with
-        | "ok" :: _ :: _ -> Hashtbl.replace hatches ln { hline = ln; used = false }
-        | [ "ok" ] ->
-          bad := (ln, "an ok-hatch needs a justification after the ok") :: !bad
-        | _ ->
-          bad :=
-            ( ln,
-              "dimension markers belong in the interface (.mli); in \
-               implementations only ok-hatches are recognized" )
-            :: !bad))
-    (String.split_on_char '\n' u.Scan.text);
+  List.iter
+    (fun (h : Comments.hit) ->
+      let ln = h.line in
+      match Comments.words h.rest with
+      | "ok" :: _ :: _ -> Hashtbl.replace hatches ln { hline = ln; used = false }
+      | [ "ok" ] ->
+        bad := (ln, "an ok-hatch needs a justification after the ok") :: !bad
+      | _ ->
+        bad :=
+          ( ln,
+            "dimension markers belong in the interface (.mli); in \
+             implementations only ok-hatches are recognized" )
+          :: !bad)
+    (Comments.find u.Scan.comments units_marker);
   { hatches; bad_lines = List.rev !bad }
-
-let expect_of_unit (u : Scan.unit_info) =
-  String.split_on_char '\n' u.Scan.text
-  |> List.concat_map (fun line ->
-         match rest_after line expect_marker with
-         | None -> []
-         | Some rest ->
-           String.split_on_char ' ' rest
-           |> List.concat_map (String.split_on_char ',')
-           |> List.filter (fun t -> t <> ""))
 
 (* ---------- diagnostics ---------- *)
 

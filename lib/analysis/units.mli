@@ -46,24 +46,15 @@
     {b Rules}: [units/mixed-add], [units/mixed-compare],
     [units/dim-mismatch-call], [units/unannotated-boundary] (an
     exported float in an annotated interface with no marker),
-    [units/bad-marker], [units/unused-hatch].  Findings reuse
-    {!Lint.diag} and the {!Allowlist} machinery, so [rodunits.allow]
-    works exactly like its three siblings. *)
+    [units/bad-marker], [units/unused-hatch].  Markers and hatches
+    count only inside comments ({!Comments}).  Findings reuse
+    {!Lint.diag}; allowlist filtering is {!Check}'s. *)
 
 val units_marker : string
-(** The marker prefix (tool name + colon), assembled at runtime so this
-    analyzer's own sources never match it. *)
+(** The marker prefix: the tool name and a colon. *)
 
 val expect_marker : string
-(** Declares a fixture's expected rule ids (used by
-    [tools/rodunits --fixtures]). *)
-
-val expect_of_unit : Scan.unit_info -> string list
-(** The rule ids a fixture expects, from its {!expect_marker} comments
-    (comma- or space-separated, all occurrences concatenated). *)
-
-val passes : string list
-(** Names of the analysis passes, for [--stats]. *)
+(** Declares a fixture's expected rule ids (read by {!Check.fixtures}). *)
 
 val rules : (string * string) list
 (** [(rule id, short description)] catalogue, for SARIF and docs. *)
@@ -139,4 +130,4 @@ val check_units :
     in-memory tests inject a closure).  Interface-side findings
     (boundary, bad markers) carry the [.mli] path.  Diagnostics are
     sorted by [(file, line, col, rule)] and deduplicated; allowlist
-    filtering is the caller's job via {!Lint.split_allowed}. *)
+    filtering is the caller's job. *)

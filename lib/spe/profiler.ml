@@ -18,7 +18,7 @@ let placeholder_cost = 1e-6
    times over fresh state.  The throwaway stat keeps [process]'s
    signature happy without polluting the measured run's counters.
    The [Unix.gettimeofday] reads below are the repo's one sanctioned
-   use of the wall clock (rodlint.allow: determinism/wallclock) —
+   use of the wall clock (rodcheck.allow: determinism/wallclock) —
    measuring real elapsed time is exactly what a profiler is for. *)
 let time_replays sop log replays =
   let t0 = Unix.gettimeofday () in

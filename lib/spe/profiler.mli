@@ -38,5 +38,5 @@ val wall_clock : Obs.Clock.t
 (** Real elapsed time as an observability clock.  [Obs.set_clock
     wall_clock] trades deterministic telemetry for true durations; the
     underlying [Unix.gettimeofday] lives here because this module owns
-    the repo's sanctioned wall-clock reads (rodlint.allow:
+    the repo's sanctioned wall-clock reads (rodcheck.allow:
     determinism/wallclock). *)

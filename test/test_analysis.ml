@@ -7,6 +7,10 @@ module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 module Plan_check = Analysis.Plan_check
 module Lint = Analysis.Lint
+module Allowlist = Analysis.Allowlist
+module Check = Analysis.Check
+module Sarif = Analysis.Sarif
+module Scan = Analysis.Scan
 
 let codes report = List.map (fun d -> d.Plan_check.code) report.Plan_check.diags
 
@@ -184,22 +188,10 @@ let test_lint_determinism () =
     "conforming file: clean" []
     (rules "lint_fixtures/det_conforming.ml")
 
-let test_lint_parallel () =
-  Alcotest.(check (list string))
-    "violating file: every mutation shape"
-    [
-      "parallel/captured-mutation"; "parallel/captured-mutation";
-      "parallel/captured-mutation"; "parallel/captured-mutation";
-    ]
-    (rules "lint_fixtures/par_violating.ml");
-  Alcotest.(check (list string))
-    "conforming file: chunk idiom and local state are fine" []
-    (rules "lint_fixtures/par_conforming.ml")
-
 let test_lint_hot () =
   Alcotest.(check (list string))
     "violating file: every hot rule"
-    [ "hot/poly-compare"; "hot/float-eq"; "hot/closure-in-loop" ]
+    [ "hot/poly-compare"; "hot/float-eq" ]
     (rules "lint_fixtures/hot_violating.ml");
   Alcotest.(check (list string))
     "conforming file: clean" []
@@ -263,6 +255,13 @@ let test_lint_hot_marker_detection () =
        (fun d -> d.Lint.rule)
        (Lint.lint_string ~filename:"m.ml"
           "(* rodlint: hot *)\nlet f k = Array.sort compare k"));
+  (* ...but only inside a comment: a string literal is data. *)
+  Alcotest.(check (list string))
+    "marker in a string literal" []
+    (List.map
+       (fun d -> d.Lint.rule)
+       (Lint.lint_string ~filename:"m.ml"
+          "let m = \"rodlint: hot\"\nlet f k = Array.sort compare k"));
   Alcotest.(check (list string))
     "explicit override" [ "hot/poly-compare" ]
     (List.map
@@ -279,23 +278,113 @@ let test_lint_parse_error () =
 let test_allowlist () =
   let diags = Lint.lint_file "lint_fixtures/det_violating.ml" in
   let allow =
-    Lint.allowlist_of_string ~source:"test.allow"
+    Allowlist.of_string ~source:"test.allow"
       "# comment line\n\
        det_violating.ml determinism/ # fixtures are allowed to violate\n\
        nowhere.ml hot/ # never matches\n"
   in
-  let kept, suppressed = Lint.split_allowed allow diags in
+  let kept, suppressed =
+    Allowlist.split
+      ~file:(fun (d : Lint.diag) -> d.file)
+      ~rule:(fun (d : Lint.diag) -> d.rule)
+      allow diags
+  in
   Alcotest.(check int) "all suppressed" 0 (List.length kept);
   Alcotest.(check int) "four suppressed" 4 (List.length suppressed);
   Alcotest.(check (list (pair string string)))
     "stale entry reported"
     [ ("nowhere.ml", "hot/") ]
-    (Lint.unused_entries allow);
+    (Allowlist.unused allow);
   Alcotest.(check bool) "malformed entry rejected" true
-    (match Lint.allowlist_of_string ~source:"bad.allow" "just-one-token\n" with
+    (match Allowlist.of_string ~source:"bad.allow" "just-one-token\n" with
     | _ -> false
     | exception Failure message ->
       String.length message > 0 && String.sub message 0 9 = "bad.allow")
+
+(* --- the rodcheck driver: fixture comparison and merged allowlist --- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let tree_of ~path text =
+  {
+    Check.sources = [ Check.source_of_string ~path text ];
+    units = [ Scan.unit_of_source ~filename:path text ];
+  }
+
+let fixture_of ~path text =
+  match Check.fixtures (tree_of ~path text) with
+  | [ f ] -> f
+  | fs -> Alcotest.failf "expected one fixture, got %d" (List.length fs)
+
+let test_check_fixtures () =
+  let conforming = "lint_fixtures/units/units_conforming.ml" in
+  let text = read_file conforming in
+  Alcotest.(check bool) "conforming fixture passes" true
+    (Check.fixture_ok (fixture_of ~path:conforming text));
+  let tampered =
+    fixture_of ~path:conforming
+      (text ^ "(* rodunits-expect: units/mixed-add *)\n")
+  in
+  Alcotest.(check bool) "a declared rule nobody reports fails" false
+    (Check.fixture_ok tampered);
+  Alcotest.(check (list string)) "expected" [ "units/mixed-add" ]
+    tampered.Check.expected;
+  Alcotest.(check (list string)) "got" [] tampered.Check.got;
+  let violating = "lint_fixtures/units/units_mixed_add.ml" in
+  let undeclared =
+    String.split_on_char '\n' (read_file violating)
+    |> List.filter (fun line ->
+           not (List.mem "rodunits-expect:" (String.split_on_char ' ' line)))
+    |> String.concat "\n"
+  in
+  let f = fixture_of ~path:violating undeclared in
+  Alcotest.(check bool) "a reported rule nobody declares fails" false
+    (Check.fixture_ok f);
+  Alcotest.(check (list string)) "got" [ "units/mixed-add" ] f.Check.got;
+  Alcotest.(check int) "a unit whose source was not loaded is skipped" 0
+    (List.length
+       (Check.fixtures
+          { (tree_of ~path:conforming text) with Check.sources = [] }))
+
+let test_check_merged_allowlist () =
+  let tree = tree_of ~path:"m.ml" "let draw () = Random.int 3\n" in
+  let text =
+    "# merged\n\
+     m.ml determinism/ # live: the lint finding\n\
+     m.ml hot/ # stale lint entry\n\
+     m.ml race/ # stale scan entry\n\
+     m.ml proto/ # stale proto entry\n\
+     m.ml units/ # stale units entry\n"
+  in
+  let allow = Allowlist.of_string ~source:"rodcheck.allow" text in
+  let report = Check.run ~clock:(fun () -> 0.) allow tree in
+  Alcotest.(check bool) "stale entries fail the run" true (Check.failed report);
+  Alcotest.(check (list (pair string string)))
+    "one stale entry per pass"
+    [ ("m.ml", "hot/"); ("m.ml", "race/"); ("m.ml", "proto/"); ("m.ml", "units/") ]
+    report.Check.stale;
+  Alcotest.(check (list (pair string int)))
+    "per-pass suppressed counts"
+    [ ("lint", 1); ("scan", 0); ("proto", 0); ("units", 0) ]
+    (List.map
+       (fun (o : Check.outcome) -> (o.pass, o.suppressed))
+       report.Check.outcomes);
+  let pruned = Allowlist.prune allow text in
+  Alcotest.(check string) "--fix drops exactly the stale entries"
+    "# merged\nm.ml determinism/ # live: the lint finding\n" pruned;
+  let again =
+    Check.run ~clock:(fun () -> 0.)
+      (Allowlist.of_string ~source:"rodcheck.allow" pruned)
+      tree
+  in
+  Alcotest.(check bool) "the pruned allowlist passes" false (Check.failed again);
+  Alcotest.(check (list string)) "one SARIF run per pass"
+    [ "rodlint"; "rodscan"; "rodproto"; "rodunits" ]
+    (List.map (fun (r : Sarif.run) -> r.tool) (Check.sarif again))
 
 let suite =
   [
@@ -314,7 +403,6 @@ let suite =
     Alcotest.test_case "json rendering" `Quick test_json_rendering;
     Alcotest.test_case "deploy gate" `Quick test_deploy_gate;
     Alcotest.test_case "lint: determinism rules" `Quick test_lint_determinism;
-    Alcotest.test_case "lint: parallel-safety rules" `Quick test_lint_parallel;
     Alcotest.test_case "lint: hot-path rules" `Quick test_lint_hot;
     Alcotest.test_case "lint: obs telemetry rule" `Quick test_lint_obs;
     Alcotest.test_case "lint: obs marker detection" `Quick
@@ -324,4 +412,7 @@ let suite =
       test_lint_hot_marker_detection;
     Alcotest.test_case "lint: parse error" `Quick test_lint_parse_error;
     Alcotest.test_case "lint: allowlist" `Quick test_allowlist;
+    Alcotest.test_case "check: fixture comparison" `Quick test_check_fixtures;
+    Alcotest.test_case "check: merged allowlist" `Quick
+      test_check_merged_allowlist;
   ]

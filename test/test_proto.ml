@@ -1,13 +1,15 @@
 (* Tests of the protocol typestate analyzer (Analysis.Proto): QCheck
    laws for the typestate lattice and its transfer function, every
    fixture under lint_fixtures/proto re-checked through in-memory
-   typechecking (the same sources the rodproto --fixtures self-test
+   typechecking (the same sources the rodcheck --fixtures self-test
    compiles), cross-unit hatch resolution, and the allowlist
-   error-reporting / --fix pruning shared by all three drivers. *)
+   error-reporting / --fix pruning. *)
 
 module Proto = Analysis.Proto
 module Scan = Analysis.Scan
 module Lint = Analysis.Lint
+module Allowlist = Analysis.Allowlist
+module Comments = Analysis.Comments
 module State = Analysis.Proto.State
 
 (* --- typestate lattice laws ---------------------------------------- *)
@@ -90,9 +92,9 @@ let test_not_distributive () =
 
 (* --- the fixtures, via in-memory typechecking ----------------------
 
-   The same sources tools/rodproto --fixtures compiles through dune are
+   The same sources `rodcheck --fixtures` compiles through dune are
    re-checked here from Scan.unit_of_source, so a fixture regression
-   fails dune runtest even when the @rodproto alias is not built.  The
+   fails dune runtest even when the @lint alias is not built.  The
    expected rule set is each fixture's own rodproto-expect comment;
    scan findings are unioned in exactly as the driver does (the
    aliasing fixture expects a race/* rule Scan owns). *)
@@ -126,7 +128,12 @@ let test_fixtures () =
   let diags = proto_diags @ scan_diags in
   List.iter
     (fun (u : Scan.unit_info) ->
-      let expected = List.sort_uniq compare (Proto.expect_of_unit u) in
+      let expected =
+        List.concat_map
+          (fun (h : Comments.hit) -> Comments.words h.rest)
+          (Comments.find u.Scan.comments Proto.expect_marker)
+        |> List.sort_uniq compare
+      in
       Alcotest.(check (list string))
         (Printf.sprintf "fixture %s" u.Scan.source)
         expected
@@ -183,7 +190,7 @@ let test_hatch_unknown_fn () =
 
 let test_allowlist_all_malformed () =
   let text = "lib/a.ml det # fine\nbroken\nlib/b.ml\nlib/c.ml race # fine\n" in
-  match Lint.allowlist_of_string ~source:"t.allow" text with
+  match Allowlist.of_string ~source:"t.allow" text with
   | _ -> Alcotest.fail "malformed allowlist accepted"
   | exception Failure msg ->
     let contains needle =
@@ -204,15 +211,20 @@ let test_allowlist_prune () =
      \n\
      lib/b.ml hot # also stale\n"
   in
-  let allowlist = Lint.allowlist_of_string ~source:"t.allow" text in
+  let allowlist = Allowlist.of_string ~source:"t.allow" text in
   let diag =
     { Lint.file = "lib/a.ml"; line = 1; col = 0; rule = "det/taint"; message = "m" }
   in
-  let kept, suppressed = Lint.split_allowed allowlist [ diag ] in
+  let kept, suppressed =
+    Allowlist.split
+      ~file:(fun (d : Lint.diag) -> d.file)
+      ~rule:(fun (d : Lint.diag) -> d.rule)
+      allowlist [ diag ]
+  in
   Alcotest.(check int) "suppressed" 1 (List.length suppressed);
   Alcotest.(check int) "kept" 0 (List.length kept);
   Alcotest.(check string) "stale lines dropped, rest untouched"
-    "# header comment\nlib/a.ml det # still needed\n\n" (Lint.prune allowlist text)
+    "# header comment\nlib/a.ml det # still needed\n\n" (Allowlist.prune allowlist text)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -6,6 +6,8 @@
 module Scan = Analysis.Scan
 module Lint = Analysis.Lint
 module Sarif = Analysis.Sarif
+module Allowlist = Analysis.Allowlist
+module Check = Analysis.Check
 
 (* --- taint lattice laws ------------------------------------------- *)
 
@@ -112,17 +114,17 @@ let prop_solve_matches_model =
   QCheck.Test.make ~name:"solve matches reachability model" ~count:200 arb_graph
     (fun g -> Scan.solve g = model_solve g)
 
-(* --- allowlist path normalization (shared with rodlint) ------------ *)
+(* --- allowlist path normalization ----------------------------------- *)
 
 let test_normalize_path () =
-  Alcotest.(check string) "plain" "lib/a.ml" (Lint.normalize_path "lib/a.ml");
-  Alcotest.(check string) "dot-slash" "lib/a.ml" (Lint.normalize_path "./lib/a.ml");
+  Alcotest.(check string) "plain" "lib/a.ml" (Allowlist.normalize_path "lib/a.ml");
+  Alcotest.(check string) "dot-slash" "lib/a.ml" (Allowlist.normalize_path "./lib/a.ml");
   Alcotest.(check string) "build-relative" "lib/a.ml"
-    (Lint.normalize_path "_build/default/lib/a.ml");
+    (Allowlist.normalize_path "_build/default/lib/a.ml");
   Alcotest.(check string) "stacked prefixes" "lib/a.ml"
-    (Lint.normalize_path "./_build/default/./lib/a.ml");
+    (Allowlist.normalize_path "./_build/default/./lib/a.ml");
   Alcotest.(check string) "infix untouched" "x/_build/default/lib/a.ml"
-    (Lint.normalize_path "x/_build/default/lib/a.ml")
+    (Allowlist.normalize_path "x/_build/default/lib/a.ml")
 
 let test_allowlist_normalized_match () =
   let diag file = { Lint.file; line = 1; col = 0; rule = "det/taint"; message = "m" } in
@@ -130,16 +132,19 @@ let test_allowlist_normalized_match () =
   let oc = open_out allow in
   output_string oc "./lib/chaos/oracle.ml det # justified\n";
   close_out oc;
-  let allowlist = Lint.load_allowlist allow in
+  let allowlist = Allowlist.load allow in
   let kept, suppressed =
-    Lint.split_allowed allowlist
+    Allowlist.split
+      ~file:(fun (d : Lint.diag) -> d.file)
+      ~rule:(fun (d : Lint.diag) -> d.rule)
+      allowlist
       [ diag "_build/default/lib/chaos/oracle.ml"; diag "lib/other.ml" ]
   in
   Sys.remove allow;
   Alcotest.(check int) "suppressed across spellings" 1 (List.length suppressed);
   Alcotest.(check int) "kept" 1 (List.length kept);
   Alcotest.(check int) "no stale entries" 0
-    (List.length (Lint.unused_entries allowlist))
+    (List.length (Allowlist.unused allowlist))
 
 (* --- the passes, via in-memory typechecked sources ----------------- *)
 
@@ -270,32 +275,80 @@ let test_alloc_cold_module () =
   Alcotest.(check (list string)) "unmarked module may allocate" []
     (rules_of diags)
 
+(* --- the shapes of the deleted parse-tree rules ---------------------
+
+   The captured-mutation shapes and the per-iteration closure that the
+   linter's parallel/captured-mutation and hot/closure-in-loop rules
+   used to catch are scan fixtures now; re-check them here, against a
+   stand-in for Parallel.Pool, so dune runtest pins them too. *)
+
+let fake_parallel =
+  "module Parallel = struct\n\
+  \  module Pool = struct\n\
+  \    let parallel_for _pool ~n f = f 0 n\n\
+  \    let map_reduce _pool ~n ~map ~combine ~init = combine init (map 0 n)\n\
+  \  end\n\
+   end\n"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_subsumed_shapes () =
+  List.iter
+    (fun (file, rules) ->
+      let path = Filename.concat "lint_fixtures/scan" file in
+      let text = fake_parallel ^ read_file path in
+      let tree =
+        {
+          Check.sources = [ Check.source_of_string ~path text ];
+          units = [ Scan.unit_of_source ~filename:path text ];
+        }
+      in
+      match Check.fixtures tree with
+      | [ f ] ->
+        Alcotest.(check (list string)) (file ^ " declares") rules f.expected;
+        Alcotest.(check (list string)) (file ^ " reports") rules f.got
+      | _ -> Alcotest.failf "%s: expected one fixture" file)
+    [
+      ( "race_pool_shapes_violating.ml",
+        [ "race/captured-array"; "race/captured-field"; "race/captured-ref" ] );
+      ("race_pool_shapes_conforming.ml", []);
+      ("alloc_loop_closure_violating.ml", [ "alloc/closure" ]);
+    ]
+
 (* --- SARIF emitter ------------------------------------------------- *)
+
+let count_sub needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i acc =
+    if i + nl > hl then acc
+    else if String.sub hay i nl = needle then go (i + nl) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let finding ?(file = Some "lib/a.ml") rule_id message =
+  { Sarif.rule_id; level = "error"; message; file; line = Some 3; col = Some 7 }
 
 let test_sarif () =
   let out =
-    Sarif.to_string ~tool:"rodscan"
-      ~rules:[ Sarif.rule ~help_uri:"DESIGN.md#10" "det/taint" "taint description" ]
+    Sarif.to_string
       [
         {
-          Sarif.rule_id = "det/taint";
-          level = "error";
-          message = "a \"quoted\" message";
-          file = Some "lib/a.ml";
-          line = Some 3;
-          col = Some 7;
+          Sarif.tool = "rodscan";
+          rules =
+            [ Sarif.rule ~help_uri:"DESIGN.md#10" "det/taint" "taint description" ];
+          results = [ finding "det/taint" "a \"quoted\" message" ];
         };
       ]
   in
-  let contains needle =
-    let nl = String.length needle and hl = String.length out in
-    let rec go i = i + nl <= hl && (String.sub out i nl = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "contains %s" needle) true
-        (contains needle))
+      Alcotest.(check int) (Printf.sprintf "contains %s" needle) 1
+        (count_sub needle out))
     [
       "\"version\": \"2.1.0\"";
       "\"ruleId\": \"det/taint\"";
@@ -305,6 +358,50 @@ let test_sarif () =
       "\"startColumn\": 8";
       "a \\\"quoted\\\" message";
     ]
+
+(* One document, one run per pass, in order; every message escaped and
+   every result present exactly once. *)
+let test_sarif_runs () =
+  let run tool results = { Sarif.tool; rules = []; results } in
+  let out =
+    Sarif.to_string
+      [
+        run "rodlint" [ finding "determinism/wallclock" "tab\there" ];
+        run "rodscan" [];
+        run "rodproto"
+          [
+            finding "proto/missed-resume" "back\\slash";
+            finding ~file:None "proto/missing-role" "line\nbreak";
+          ];
+        run "rodunits" [ finding "units/mixed-add" "ctrl\001char" ];
+      ]
+  in
+  let position needle =
+    let nl = String.length needle in
+    let rec go i =
+      if i + nl > String.length out then max_int
+      else if String.sub out i nl = needle then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  Alcotest.(check int) "one document" 1 (count_sub "\"runs\": [" out);
+  Alcotest.(check int) "four runs" 4 (count_sub "\"driver\"" out);
+  Alcotest.(check int) "results" 4 (count_sub "\"ruleId\"" out);
+  let starts =
+    List.map
+      (fun tool -> position (Printf.sprintf "\"name\": \"%s\"" tool))
+      [ "rodlint"; "rodscan"; "rodproto"; "rodunits" ]
+  in
+  Alcotest.(check bool) "every run named" false (List.mem max_int starts);
+  Alcotest.(check (list int)) "runs in order" (List.sort compare starts) starts;
+  List.iter
+    (fun needle ->
+      Alcotest.(check int) (Printf.sprintf "escaped %s" needle) 1
+        (count_sub needle out))
+    [ "tab\\there"; "back\\\\slash"; "line\\nbreak"; "ctrl\\u0001char" ];
+  Alcotest.(check int) "a location-less result has no locations" 3
+    (count_sub "\"locations\"" out)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -333,5 +430,7 @@ let suite =
         test_alloc_unused_hatch;
       Alcotest.test_case "alloc: cold module ignored" `Quick
         test_alloc_cold_module;
+      Alcotest.test_case "subsumed lint shapes" `Quick test_subsumed_shapes;
       Alcotest.test_case "sarif shape" `Quick test_sarif;
+      Alcotest.test_case "sarif: one run per pass" `Quick test_sarif_runs;
     ]

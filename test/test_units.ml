@@ -1,10 +1,10 @@
 (* Tests of the dimensional analyzer (Analysis.Units): QCheck laws for
    the dimension group and the abstract-value lattice, parse/render
    round trips, every fixture under lint_fixtures/units re-checked
-   through in-memory typechecking (the same sources the rodunits
+   through in-memory typechecking (the same sources the rodcheck
    --fixtures self-test compiles), in-memory interface seeding through
-   an injected read_mli closure, and the shared Allowlist machinery the
-   four drivers sit on. *)
+   an injected read_mli closure, and the Allowlist machinery rodcheck
+   sits on. *)
 
 module Units = Analysis.Units
 module Dim = Analysis.Units.Dim
@@ -12,6 +12,7 @@ module Abs = Analysis.Units.Abs
 module Scan = Analysis.Scan
 module Lint = Analysis.Lint
 module Allowlist = Analysis.Allowlist
+module Comments = Analysis.Comments
 
 (* --- the dimension group ------------------------------------------- *)
 
@@ -204,9 +205,9 @@ let test_join_mixed_dims_conflict () =
 
 (* --- the fixtures, via in-memory typechecking ---------------------- *)
 
-(* Every fixture pair the rodunits --fixtures self-test compiles is
+(* Every fixture pair the `rodcheck --fixtures` self-test compiles is
    re-checked here from Scan.unit_of_source, so a fixture regression
-   fails dune runtest even when the @rodunits alias is not built.
+   fails dune runtest even when the @lint alias is not built.
    Interface-side findings carry the .mli path; fold them onto the .ml
    exactly as the driver does when matching expectations. *)
 
@@ -243,7 +244,12 @@ let test_fixtures () =
   let diags, _stats = Units.check_units units in
   List.iter
     (fun (u : Scan.unit_info) ->
-      let expected = List.sort_uniq compare (Units.expect_of_unit u) in
+      let expected =
+        List.concat_map
+          (fun (h : Comments.hit) -> Comments.words h.rest)
+          (Comments.find u.Scan.comments Units.expect_marker)
+        |> List.sort_uniq compare
+      in
       Alcotest.(check (list string))
         (Printf.sprintf "fixture %s" u.Scan.source)
         expected
