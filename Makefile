@@ -12,7 +12,11 @@ test:
 # full test suite + the seeded chaos smoke run + the enforced perf diff
 # (a fresh quick ladder record over the place/* and controller/* rungs,
 # compared against the previous one; noisy fits with r^2 < 0.9 are
-# skipped).
+# skipped).  The ladder appends to a copy under _build/, so `check`
+# leaves the tracked BENCH_rod.json untouched; `make bench-ladder`
+# appends to the tracked file.
+CHECK_BENCH = _build/BENCH_rod.check.json
+
 check:
 	dune build @fmt
 	dune build @all
@@ -21,8 +25,9 @@ check:
 	dune build @chaos-quick
 	dune build @keyed
 	dune build @promcheck
-	$(MAKE) bench-ladder
-	$(MAKE) benchdiff
+	cp BENCH_rod.json $(CHECK_BENCH)
+	dune exec bench/main.exe -- --quick --micro-only --only place/,controller/ --json $(CHECK_BENCH)
+	dune exec tools/benchdiff/benchdiff.exe -- $(CHECK_BENCH)
 
 # Static analysis: tools/rodcheck runs its four passes — lint
 # (parse-tree rules), scan (determinism taint, pool races, hot-loop

@@ -1,17 +1,42 @@
 (* rod-cli: command-line front end for the ROD library.
 
    Subcommands:
-     place      build a query graph, place it, print plan + metrics
+     deploy     place a query graph through the admission gate (alias: place)
      volume     feasible-set size of a placement
      trace      synthesize a workload trace and print it
      simulate   place a graph and replay a bursty workload in the DES
      experiment run one of the paper-reproduction experiments *)
+(* rodproto: protocol — every Plan.make here is dominated by a Plan_check
+   gate: Deploy's, or a check_graph call earlier in the same function *)
 
 open Cmdliner
 
 module Vec = Linalg.Vec
 module Problem = Rod.Problem
 module Plan = Rod.Plan
+module Placers = Experiments.Placers
+
+(* --- range-checked converters --- *)
+
+(* A value outside the flag's domain is a usage error naming the flag,
+   not an exception from deep inside the library. *)
+let checked conv ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expect s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~ok:(fun n -> n >= 1) ~expect:"an integer >= 1"
+
+let natural_int = checked Arg.int ~ok:(fun n -> n >= 0) ~expect:"an integer >= 0"
+
+let positive_float =
+  checked Arg.float
+    ~ok:(fun x -> Float.is_finite x && x > 0.)
+    ~expect:"a finite number > 0"
 
 (* --- shared graph selection --- *)
 
@@ -22,30 +47,16 @@ type graph_kind =
   | Traffic
   | Compliance
 
-let graph_kind_conv =
-  let parse = function
-    | "random" -> Ok Random_trees
-    | "example2" -> Ok Example2
-    | "example3" -> Ok Example3
-    | "traffic" -> Ok Traffic
-    | "compliance" -> Ok Compliance
-    | s -> Error (`Msg (Printf.sprintf "unknown graph %S" s))
-  in
-  let print fmt k =
-    Format.pp_print_string fmt
-      (match k with
-      | Random_trees -> "random"
-      | Example2 -> "example2"
-      | Example3 -> "example3"
-      | Traffic -> "traffic"
-      | Compliance -> "compliance")
-  in
-  Arg.conv (parse, print)
-
 let graph_arg =
+  let kinds =
+    [
+      ("random", Random_trees); ("example2", Example2); ("example3", Example3);
+      ("traffic", Traffic); ("compliance", Compliance);
+    ]
+  in
   Arg.(
     value
-    & opt graph_kind_conv Random_trees
+    & opt (enum kinds) Random_trees
     & info [ "g"; "graph" ] ~docv:"KIND"
         ~doc:
           "Query graph: $(b,random) operator trees, the paper's \
@@ -54,52 +65,29 @@ let graph_arg =
 
 let inputs_arg =
   Arg.(
-    value & opt int 5
+    value & opt positive_int 5
     & info [ "d"; "inputs" ] ~docv:"D" ~doc:"Input streams (random graphs).")
 
 let ops_arg =
   Arg.(
-    value & opt int 20
+    value & opt positive_int 20
     & info [ "ops-per-tree" ] ~docv:"K"
         ~doc:"Operators per tree (random graphs).")
 
 let nodes_arg =
-  Arg.(value & opt int 10 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Cluster nodes.")
+  Arg.(
+    value & opt positive_int 10
+    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Cluster nodes.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let samples_arg =
   Arg.(
-    value & opt int 8192
+    value & opt positive_int 8192
     & info [ "samples" ] ~docv:"S" ~doc:"QMC samples for volume estimates.")
 
-(* --- observability exports (shared by place/sim/chaos/experiment) --- *)
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write the metrics registry snapshot as JSON (schema \
-           rod-obs-metrics/1) to $(docv).")
-
-let obs_trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write the span trace as Chrome trace_event JSON to $(docv); load \
-           it in Perfetto or about:tracing.")
-
-let prom_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prom" ] ~docv:"FILE"
-        ~doc:"Write metrics in Prometheus text exposition format to $(docv).")
+(* --- observability exports --- *)
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -107,18 +95,33 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let export_obs metrics trace prom =
-  let snapshot = lazy (Obs.snapshot ()) in
-  Option.iter
-    (fun path ->
-      write_file path (Obs.Export.metrics_json (Lazy.force snapshot)))
-    metrics;
-  Option.iter
-    (fun path -> write_file path (Obs.Export.trace_json (Obs.events ())))
-    trace;
-  Option.iter
-    (fun path -> write_file path (Obs.Export.prometheus (Lazy.force snapshot)))
-    prom
+(* --metrics, --trace and --prom as one term: it evaluates to the function
+   that writes the requested exports once a command's work is done. *)
+let obs_exports =
+  let file name ~doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  let export metrics trace prom () =
+    let snapshot = lazy (Obs.snapshot ()) in
+    let write path contents =
+      Option.iter (fun path -> write_file path (contents ())) path
+    in
+    write metrics (fun () -> Obs.Export.metrics_json (Lazy.force snapshot));
+    write trace (fun () -> Obs.Export.trace_json (Obs.events ()));
+    write prom (fun () -> Obs.Export.prometheus (Lazy.force snapshot))
+  in
+  Term.(
+    const export
+    $ file "metrics"
+        ~doc:
+          "Write the metrics registry snapshot as JSON (schema \
+           rod-obs-metrics/1) to $(docv)."
+    $ file "trace"
+        ~doc:
+          "Write the span trace as Chrome trace_event JSON to $(docv); load \
+           it in Perfetto or about:tracing."
+    $ file "prom"
+        ~doc:"Write metrics in Prometheus text exposition format to $(docv).")
 
 let build_graph kind ~seed ~inputs ~ops_per_tree =
   match kind with
@@ -128,62 +131,53 @@ let build_graph kind ~seed ~inputs ~ops_per_tree =
       ~n_inputs:inputs ~ops_per_tree
   | Example2 -> Query.Builder.example2 ()
   | Example3 -> Query.Builder.example3 ()
-  | Traffic -> Query.Builder.traffic_monitoring ~n_links:(max 1 inputs)
-  | Compliance -> Query.Builder.financial_compliance ~n_rules:(max 1 ops_per_tree)
+  | Traffic -> Query.Builder.traffic_monitoring ~n_links:inputs
+  | Compliance -> Query.Builder.financial_compliance ~n_rules:ops_per_tree
 
-type algorithm_choice =
-  | Rod_alg
-  | Llf_alg
-  | Connected_alg
-  | Correlation_alg
-  | Random_alg
+let caps_of nodes = Problem.homogeneous_caps ~n:nodes ~cap:1.
 
-let algorithm_conv =
-  let parse = function
-    | "rod" -> Ok Rod_alg
-    | "llf" -> Ok Llf_alg
-    | "connected" -> Ok Connected_alg
-    | "correlation" -> Ok Correlation_alg
-    | "random" -> Ok Random_alg
-    | s -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
-  in
-  let print fmt a =
-    Format.pp_print_string fmt
-      (match a with
-      | Rod_alg -> "rod"
-      | Llf_alg -> "llf"
-      | Connected_alg -> "connected"
-      | Correlation_alg -> "correlation"
-      | Random_alg -> "random")
-  in
-  Arg.conv (parse, print)
+(* The one way a .rodgraph file enters the CLI: a malformed file is an
+   error message, never an uncaught exception. *)
+let load_graph path =
+  match Query.Graph_io.load ~path with
+  | graph -> Ok graph
+  | exception (Failure m | Invalid_argument m | Sys_error m) ->
+    Error (Printf.sprintf "%s: %s" path m)
+
+(* The admission gate raises [Invalid_argument] on a rejected model; the
+   CLI reports it as an error naming the input. *)
+let gated ?source admit =
+  match admit () with
+  | v -> Ok v
+  | exception Invalid_argument m ->
+    Error (match source with Some s -> Printf.sprintf "%s: %s" s m | None -> m)
+
+(* Callers pass the report of their own check_graph call, so the gate
+   dominates their Plan.make. *)
+let admitted report =
+  gated (fun () -> Analysis.Plan_check.assert_ok ~what:"deployment" report)
+
+(* --- placer roster (the §7.3.1 baselines of Experiments.Placers) --- *)
+
+let placer_name alg = String.lowercase_ascii (Placers.name alg)
+
+let placers = List.map (fun alg -> (placer_name alg, alg)) Placers.all
 
 let algorithm_arg =
   Arg.(
-    value & opt algorithm_conv Rod_alg
+    value
+    & opt (enum placers) Placers.Rod_placer
     & info [ "a"; "algorithm" ] ~docv:"ALG"
         ~doc:
-          "Placement algorithm: $(b,rod), $(b,llf), $(b,connected), \
-           $(b,correlation) or $(b,random).")
+          (Printf.sprintf
+             "Placement algorithm: %s.  The baselines draw their random rate \
+              points, rate series or balanced assignment from $(b,--seed)."
+             (Arg.doc_alts_enum placers)))
 
-let run_algorithm algorithm ~seed ~graph ~problem =
-  let rng = Random.State.make [| seed + 1 |] in
-  let d = Problem.dim problem in
-  let l = Problem.total_coefficients problem in
-  let c_total = Problem.total_capacity problem in
-  let center = Vec.init d (fun k -> c_total /. (2. *. float_of_int d *. l.(k))) in
-  match algorithm with
-  | Rod_alg -> Rod.Rod_algorithm.place problem
-  | Llf_alg -> Baselines.llf ~rates:center problem
-  | Connected_alg -> Baselines.connected ~rates:center ~graph problem
-  | Correlation_alg ->
-    let series =
-      Linalg.Mat.init 32 d (fun _ k -> Random.State.float rng (2. *. center.(k)))
-    in
-    Baselines.correlation ~series problem
-  | Random_alg -> Baselines.random_balanced ~rng problem
+let place_with alg ~seed ~graph problem =
+  Placers.place ~rng:(Random.State.make [| seed + 1 |]) ~graph ~problem alg
 
-(* --- place --- *)
+(* --- deploy (alias: place) --- *)
 
 let load_graph_arg =
   Arg.(
@@ -192,24 +186,14 @@ let load_graph_arg =
     & info [ "load-graph" ] ~docv:"FILE"
         ~doc:"Read the query graph from a rodgraph file instead of building one.")
 
-let save_graph_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "save-graph" ] ~docv:"FILE" ~doc:"Write the query graph to FILE.")
-
-let save_plan_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "save-plan" ] ~docv:"FILE"
-        ~doc:"Write the computed assignment to FILE (rodplan format).")
-
 let explain_arg =
   Arg.(
     value & flag
     & info [ "explain" ]
-        ~doc:"Print the greedy's decision log (one line per operator).")
+        ~doc:
+          "Also print ROD's decision log, the local search's moves (with \
+           $(b,--polish)), the $(b,L^n) matrix, the full metrics and the \
+           4-digit ratio.  Needs $(b,-a rod).")
 
 let polish_arg =
   Arg.(
@@ -219,92 +203,124 @@ let polish_arg =
           "Refine the placement by local search (relocations + swaps) on the \
            feasible-set objective.")
 
-let dot_arg =
+let out_dir_arg =
   Arg.(
     value
-    & opt (some string) None
-    & info [ "dot" ] ~docv:"FILE"
+    & opt (some dir) None
+    & info [ "out" ] ~docv:"DIR"
         ~doc:
-          "Write a Graphviz rendering of the placed graph (operators colored \
-           by node) to FILE.")
+          "Existing directory to write graph.rodgraph, plan.rodplan and \
+           plan.dot (a Graphviz rendering, operators colored by node) into.")
 
-let place_cmd =
-  let run kind inputs ops_per_tree nodes seed algorithm samples load_graph
-      save_graph save_plan polish dot explain metrics obs_trace prom =
+(* Local search reports its moves and passes to the metrics registry; a
+   swap moves two operators. *)
+let local_search_line () =
+  let count name kind =
+    List.fold_left
+      (fun acc (s : Obs.Metric.sample) ->
+        match s.s_value with
+        | Counter_v n when s.s_name = name && List.assoc_opt "kind" s.s_labels = kind
+          -> acc + n
+        | _ -> acc)
+      0 (Obs.snapshot ())
+  in
+  let moves = count "rod_ls_moves_total" in
+  Format.printf "local search: %d moves over %d passes@."
+    (moves (Some "relocation") + (2 * moves (Some "swap")))
+    (count "rod_ls_passes_total" None)
+
+let deploy_term =
+  let run kind inputs ops_per_tree nodes seed algorithm samples polish
+      load_graph_path explain out_dir export_obs =
+    let decisions = ref [] in
+    let deploy graph =
+      let place problem =
+        if explain then begin
+          let assignment, trace = Rod.Rod_algorithm.place_traced problem in
+          decisions := trace;
+          assignment
+        end
+        else place_with algorithm ~seed ~graph problem
+      in
+      gated ?source:load_graph_path (fun () ->
+          Deploy.of_cost_model ~place ~polish ~samples ~graph
+            ~caps:(caps_of nodes) ())
+    in
     let graph =
-      match load_graph with
-      | Some path -> Query.Graph_io.load ~path
-      | None -> build_graph kind ~seed ~inputs ~ops_per_tree
+      match load_graph_path with
+      | Some path -> load_graph path
+      | None -> Ok (build_graph kind ~seed ~inputs ~ops_per_tree)
     in
-    Option.iter (fun path -> Query.Graph_io.save graph ~path) save_graph;
-    let problem =
-      Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:nodes ~cap:1.)
-    in
-    let assignment =
-      if explain && algorithm = Rod_alg then begin
-        let assignment, trace = Rod.Rod_algorithm.place_traced problem in
-        Format.printf "%a@." Rod.Rod_algorithm.pp_trace trace;
-        assignment
-      end
-      else run_algorithm algorithm ~seed ~graph ~problem
-    in
-    let assignment =
-      if polish then begin
-        let out = Rod.Local_search.improve ~samples problem assignment in
-        Format.printf "local search: %d moves over %d passes@."
-          out.Rod.Local_search.moves out.Rod.Local_search.passes;
-        out.Rod.Local_search.assignment
-      end
-      else assignment
-    in
-    Option.iter
-      (fun path -> Query.Graph_io.save_assignment assignment ~path)
-      save_plan;
-    Option.iter
-      (fun path -> Query.Graph_dot.save ~assignment graph ~path)
-      dot;
-    let plan = Plan.make problem assignment in
-    Format.printf "%a@." Plan.pp plan;
-    Format.printf "%a@." Rod.Metrics.pp_summary (Rod.Metrics.summary plan);
-    let est = Plan.volume_qmc ~samples plan in
-    Format.printf "feasible-set ratio vs ideal: %.4f@." est.Feasible.Volume.ratio;
-    export_obs metrics obs_trace prom
+    if explain && algorithm <> Placers.Rod_placer then
+      `Error (true, "--explain needs -a rod: only ROD logs its decisions")
+    else
+      match Result.bind graph deploy with
+      | Error message -> `Error (false, message)
+      | Ok d ->
+        print_string (Deploy.describe d);
+        let direction = Vec.ones (Query.Graph.n_inputs d.Deploy.graph) in
+        Format.printf
+          "headroom along the all-ones rate direction: %.4g tuples/s@."
+          (Deploy.headroom d ~direction);
+        if explain then begin
+          Format.printf "%a@." Rod.Rod_algorithm.pp_trace !decisions;
+          if polish then local_search_line ();
+          Format.printf "%a@.%a@." Plan.pp d.Deploy.plan Rod.Metrics.pp_summary
+            (Rod.Metrics.summary d.Deploy.plan);
+          Format.printf "feasible-set ratio vs ideal: %.4f@." d.Deploy.ratio
+        end;
+        Option.iter
+          (fun dir ->
+            Deploy.save d ~dir;
+            Format.printf "artifacts written to %s@." dir)
+          out_dir;
+        export_obs ();
+        `Ok ()
   in
-  let term =
-    Term.(
-      const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
-      $ algorithm_arg $ samples_arg $ load_graph_arg $ save_graph_arg
-      $ save_plan_arg $ polish_arg $ dot_arg $ explain_arg $ metrics_arg
-      $ obs_trace_arg $ prom_arg)
-  in
+  Term.(
+    ret
+      (const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
+      $ algorithm_arg $ samples_arg $ polish_arg $ load_graph_arg $ explain_arg
+      $ out_dir_arg $ obs_exports))
+
+let deploy_cmd =
   Cmd.v
-    (Cmd.info "place" ~doc:"Place a query graph and report its resiliency.")
-    term
+    (Cmd.info "deploy"
+       ~doc:
+         "Place a query graph through the static-analysis gate and print the \
+          deployment: per-node rosters, metrics, feasible-set ratio and \
+          headroom.  Nonzero exit when the plan is rejected.")
+    deploy_term
+
+(* "place" is a second command sharing deploy's term, like "sim". *)
+let place_cmd =
+  Cmd.v (Cmd.info "place" ~doc:"Alias for $(b,deploy).") deploy_term
 
 (* --- volume --- *)
 
 let volume_cmd =
   let run kind inputs ops_per_tree nodes seed samples =
     let graph = build_graph kind ~seed ~inputs ~ops_per_tree in
-    let problem =
-      Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:nodes ~cap:1.)
-    in
-    Format.printf "ideal feasible-set volume: %.6g@." (Rod.Ideal.volume problem);
-    List.iter
-      (fun algorithm ->
-        let assignment = run_algorithm algorithm ~seed ~graph ~problem in
-        let est = Plan.volume_qmc ~samples (Plan.make problem assignment) in
-        let name =
-          Format.asprintf "%a" (Arg.conv_printer algorithm_conv) algorithm
-        in
-        Format.printf "%-12s ratio %.4f volume %.6g@." name
-          est.Feasible.Volume.ratio est.Feasible.Volume.volume)
-      [ Rod_alg; Correlation_alg; Llf_alg; Random_alg; Connected_alg ]
+    let caps = caps_of nodes in
+    match admitted (Analysis.Plan_check.check_graph graph ~caps) with
+    | Error message -> `Error (false, message)
+    | Ok () ->
+      let problem = Problem.of_graph graph ~caps in
+      Format.printf "ideal feasible-set volume: %.6g@." (Rod.Ideal.volume problem);
+      List.iter
+        (fun alg ->
+          let assignment = place_with alg ~seed ~graph problem in
+          let est = Plan.volume_qmc ~samples (Plan.make problem assignment) in
+          Format.printf "%-12s ratio %.4f volume %.6g@." (placer_name alg)
+            est.Feasible.Volume.ratio est.Feasible.Volume.volume)
+        Placers.all;
+      `Ok ()
   in
   let term =
     Term.(
-      const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
-      $ samples_arg)
+      ret
+        (const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
+        $ samples_arg))
   in
   Cmd.v
     (Cmd.info "volume"
@@ -314,29 +330,17 @@ let volume_cmd =
 (* --- trace --- *)
 
 let trace_cmd =
-  let kind_conv =
-    let parse = function
-      | "pkt" -> Ok `Pkt
-      | "tcp" -> Ok `Tcp
-      | "http" -> Ok `Http
-      | "poisson" -> Ok `Poisson
-      | "flash" -> Ok `Flash
-      | s -> Error (`Msg (Printf.sprintf "unknown trace kind %S" s))
-    in
-    let print fmt k =
-      Format.pp_print_string fmt
-        (match k with
-        | `Pkt -> "pkt"
-        | `Tcp -> "tcp"
-        | `Http -> "http"
-        | `Poisson -> "poisson"
-        | `Flash -> "flash")
-    in
-    Arg.conv (parse, print)
+  let kinds =
+    Workload.Traces.
+      [
+        ("pkt", `Synth Pkt); ("tcp", `Synth Tcp); ("http", `Synth Http);
+        ("poisson", `Poisson); ("flash", `Flash);
+      ]
   in
   let kind_arg =
     Arg.(
-      value & opt kind_conv `Pkt
+      value
+      & opt (enum kinds) (`Synth Workload.Traces.Pkt)
       & info [ "k"; "kind" ] ~docv:"KIND"
           ~doc:"$(b,pkt), $(b,tcp), $(b,http), $(b,poisson) or $(b,flash).")
   in
@@ -360,9 +364,7 @@ let trace_cmd =
     let n = 1 lsl levels in
     let trace =
       match kind with
-      | `Pkt -> Workload.Traces.synthesize ~levels ~rng Workload.Traces.Pkt
-      | `Tcp -> Workload.Traces.synthesize ~levels ~rng Workload.Traces.Tcp
-      | `Http -> Workload.Traces.synthesize ~levels ~rng Workload.Traces.Http
+      | `Synth kind -> Workload.Traces.synthesize ~levels ~rng kind
       | `Poisson ->
         Workload.Trace.normalize
           (Workload.Generators.poisson_counts ~rng ~n ~dt:1. ~mean_rate:100.)
@@ -427,7 +429,7 @@ let simulate_term =
   in
   let budget_arg =
     Arg.(
-      value & opt int 3
+      value & opt natural_int 3
       & info [ "budget" ] ~docv:"B"
           ~doc:"Migration budget per replan (with $(b,--controller)).")
   in
@@ -441,12 +443,10 @@ let simulate_term =
              rod-replan-log/1) to $(docv) (with $(b,--controller)).")
   in
   let run kind inputs ops_per_tree nodes seed algorithm load duration
-      controller budget decisions obs_metrics obs_trace prom =
+      controller budget decisions export_obs =
     let graph = build_graph kind ~seed ~inputs ~ops_per_tree in
-    let problem =
-      Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:nodes ~cap:1.)
-    in
-    let assignment = run_algorithm algorithm ~seed ~graph ~problem in
+    let problem = Problem.of_graph graph ~caps:(caps_of nodes) in
+    let assignment = place_with algorithm ~seed ~graph problem in
     let d = Query.Graph.n_inputs graph in
     let l = Problem.total_coefficients problem in
     let c_total = Problem.total_capacity problem in
@@ -492,12 +492,12 @@ let simulate_term =
       in
       Format.printf "%a@." Dsim.Sim_metrics.pp metrics
     end;
-    export_obs obs_metrics obs_trace prom
+    export_obs ()
   in
   Term.(
     const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
     $ algorithm_arg $ load_arg $ duration_arg $ controller_arg $ budget_arg
-    $ decisions_arg $ metrics_arg $ obs_trace_arg $ prom_arg)
+    $ decisions_arg $ obs_exports)
 
 let simulate_cmd =
   Cmd.v
@@ -531,7 +531,7 @@ let cluster_cmd =
         }
     in
     let model = Query.Load_model.derive graph in
-    let caps = Problem.homogeneous_caps ~n:nodes ~cap:1. in
+    let caps = caps_of nodes in
     let problem = Problem.of_model model ~caps in
     let report label assignment =
       let ln =
@@ -565,15 +565,10 @@ let cluster_cmd =
 
 let optimal_cmd =
   let run inputs ops_per_tree nodes seed samples =
-    let graph =
-      build_graph Random_trees ~seed ~inputs ~ops_per_tree
-    in
-    let problem =
-      Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:nodes ~cap:1.)
-    in
+    let graph = build_graph Random_trees ~seed ~inputs ~ops_per_tree in
+    let problem = Problem.of_graph graph ~caps:(caps_of nodes) in
     let space =
-      Rod.Optimal.search_space ~n_nodes:nodes
-        ~n_ops:(Problem.n_ops problem)
+      Rod.Optimal.search_space ~n_nodes:nodes ~n_ops:(Problem.n_ops problem)
     in
     Format.printf "search space: %.3g assignments@." space;
     let best = Rod.Optimal.search ~samples problem in
@@ -600,27 +595,31 @@ let optimal_cmd =
 let failure_cmd =
   let run kind inputs ops_per_tree nodes seed algorithm samples =
     let graph = build_graph kind ~seed ~inputs ~ops_per_tree in
-    let problem =
-      Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:nodes ~cap:1.)
-    in
-    let assignment = run_algorithm algorithm ~seed ~graph ~problem in
-    let before = Plan.volume_qmc ~samples (Plan.make problem assignment) in
-    Format.printf "before failure: ratio %.4f volume %.6g@."
-      before.Feasible.Volume.ratio before.Feasible.Volume.volume;
-    for failed = 0 to nodes - 1 do
-      let r = Rod.Failure.survival ~samples problem ~assignment ~failed in
-      Format.printf
-        "node %d fails: volume %.6g -> %.6g  survival %.3f (capacity bound %.3f)@."
-        failed r.Rod.Failure.volume_before r.Rod.Failure.volume_after
-        r.Rod.Failure.survival r.Rod.Failure.capacity_bound
-    done;
-    Format.printf "mean survival: %.4f@."
-      (Rod.Failure.mean_survival ~samples problem ~assignment)
+    let caps = caps_of nodes in
+    match admitted (Analysis.Plan_check.check_graph graph ~caps) with
+    | Error message -> `Error (false, message)
+    | Ok () ->
+      let problem = Problem.of_graph graph ~caps in
+      let assignment = place_with algorithm ~seed ~graph problem in
+      let before = Plan.volume_qmc ~samples (Plan.make problem assignment) in
+      Format.printf "before failure: ratio %.4f volume %.6g@."
+        before.Feasible.Volume.ratio before.Feasible.Volume.volume;
+      for failed = 0 to nodes - 1 do
+        let r = Rod.Failure.survival ~samples problem ~assignment ~failed in
+        Format.printf
+          "node %d fails: volume %.6g -> %.6g  survival %.3f (capacity bound %.3f)@."
+          failed r.Rod.Failure.volume_before r.Rod.Failure.volume_after
+          r.Rod.Failure.survival r.Rod.Failure.capacity_bound
+      done;
+      Format.printf "mean survival: %.4f@."
+        (Rod.Failure.mean_survival ~samples problem ~assignment);
+      `Ok ()
   in
   let term =
     Term.(
-      const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
-      $ algorithm_arg $ samples_arg)
+      ret
+        (const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
+        $ algorithm_arg $ samples_arg))
   in
   Cmd.v
     (Cmd.info "failure"
@@ -631,9 +630,18 @@ let failure_cmd =
 
 (* --- compile --- *)
 
-(* Synthetic records carrying every declared field of each input
-   schema, with Poisson arrivals at the trace's rate. *)
-let synthetic_sample ~rng ~trace inputs =
+let profile_rate_arg =
+  Arg.(
+    value & opt float 150.
+    & info [ "profile-rate" ] ~docv:"TPS"
+        ~doc:"Synthetic tuple rate per input used when profiling a query file.")
+
+(* Synthetic records for profiling a compiled query: every declared field
+   of each input schema, with Poisson arrivals at [rate] tuples/s for
+   10 s. *)
+let synthetic_sample ~seed ~rate (compiled : Cql.Compile.compiled) =
+  let rng = Random.State.make [| seed |] in
+  let trace = Workload.Trace.create ~dt:1. (Array.make 10 rate) in
   Array.of_list
     (List.map
        (fun (_, schema) ->
@@ -652,7 +660,7 @@ let synthetic_sample ~rng ~trace inputs =
                           (Printf.sprintf "k%d" (Random.State.int rng 8)) ))
                   schema))
            (Workload.Generators.poisson_arrivals ~rng ~trace))
-       inputs)
+       compiled.Cql.Compile.inputs)
 
 let compile_cmd =
   let file_arg =
@@ -669,41 +677,31 @@ let compile_cmd =
             "Profile the compiled network on synthetic data and place it with \
              ROD.")
   in
-  let rate_arg =
-    Arg.(
-      value & opt float 150.
-      & info [ "profile-rate" ] ~docv:"TPS"
-          ~doc:"Synthetic tuple rate per input used for profiling.")
-  in
   let run file do_place nodes seed rate =
     match Cql.Frontend.compile_file ~path:file with
     | Error e ->
       `Error (false, Printf.sprintf "%s: %s" file (Cql.Frontend.error_to_string e))
     | Ok compiled ->
       print_string (Cql.Frontend.describe compiled);
-      if do_place then begin
-        let rng = Random.State.make [| seed |] in
-        let trace = Workload.Trace.create ~dt:1. (Array.make 10 rate) in
-        let sample_inputs =
-          synthetic_sample ~rng ~trace compiled.Cql.Compile.inputs
-        in
-        let profile =
-          Spe.Profiler.profile compiled.Cql.Compile.network ~inputs:sample_inputs
-        in
-        let problem =
-          Problem.of_graph profile.Spe.Profiler.graph
-            ~caps:(Problem.homogeneous_caps ~n:nodes ~cap:1.)
-        in
-        let plan = Rod.Rod_algorithm.plan problem in
-        Format.printf "@.%a@." Plan.pp plan;
-        let est = Plan.volume_qmc ~samples:8192 plan in
-        Format.printf "feasible-set ratio vs ideal: %.4f@."
-          est.Feasible.Volume.ratio
-      end;
-      `Ok ()
+      if not do_place then `Ok ()
+      else
+        match
+          gated ~source:file (fun () ->
+              Deploy.of_network ~network:compiled.Cql.Compile.network
+                ~sample:(synthetic_sample ~seed ~rate compiled)
+                ~caps:(caps_of nodes) ())
+        with
+        | Error message -> `Error (false, message)
+        | Ok d ->
+          Format.printf "@.%a@." Plan.pp d.Deploy.plan;
+          Format.printf "feasible-set ratio vs ideal: %.4f@." d.Deploy.ratio;
+          `Ok ()
   in
   let term =
-    Term.(ret (const run $ file_arg $ place_flag $ nodes_arg $ seed_arg $ rate_arg))
+    Term.(
+      ret
+        (const run $ file_arg $ place_flag $ nodes_arg $ seed_arg
+        $ profile_rate_arg))
   in
   Cmd.v
     (Cmd.info "compile"
@@ -726,7 +724,7 @@ let analyze_cmd =
   in
   let cap_arg =
     Arg.(
-      value & opt float 1.
+      value & opt positive_float 1.
       & info [ "cap" ] ~docv:"C" ~doc:"Capacity of each cluster node.")
   in
   let threshold_arg =
@@ -750,37 +748,22 @@ let analyze_cmd =
              format tools/rodcheck emits, so both analyzers feed one code \
              scanning pipeline.")
   in
-  let rate_arg =
-    Arg.(
-      value & opt float 150.
-      & info [ "profile-rate" ] ~docv:"TPS"
-          ~doc:"Synthetic tuple rate per input used when profiling a query file.")
-  in
   let run file nodes cap seed rate threshold json sarif =
     let graph_result =
-      if Filename.check_suffix file ".rodgraph" then (
-        match Query.Graph_io.load ~path:file with
-        | graph -> Ok graph
-        | exception Failure message -> Error message
-        | exception Invalid_argument message -> Error message)
+      if Filename.check_suffix file ".rodgraph" then load_graph file
       else
         match Cql.Frontend.compile_file ~path:file with
         | Error e ->
-          Error (Printf.sprintf "%s" (Cql.Frontend.error_to_string e))
+          Error (Printf.sprintf "%s: %s" file (Cql.Frontend.error_to_string e))
         | Ok compiled ->
-          let rng = Random.State.make [| seed |] in
-          let trace = Workload.Trace.create ~dt:1. (Array.make 10 rate) in
-          let sample_inputs =
-            synthetic_sample ~rng ~trace compiled.Cql.Compile.inputs
-          in
           let profile =
             Spe.Profiler.profile compiled.Cql.Compile.network
-              ~inputs:sample_inputs
+              ~inputs:(synthetic_sample ~seed ~rate compiled)
           in
           Ok profile.Spe.Profiler.graph
     in
     match graph_result with
-    | Error message -> `Error (false, Printf.sprintf "%s: %s" file message)
+    | Error message -> `Error (false, message)
     | Ok graph ->
       let caps = Problem.homogeneous_caps ~n:nodes ~cap in
       let report = Analysis.Plan_check.check_graph ~threshold graph ~caps in
@@ -813,8 +796,8 @@ let analyze_cmd =
   let term =
     Term.(
       ret
-        (const run $ file_arg $ nodes_arg $ cap_arg $ seed_arg $ rate_arg
-        $ threshold_arg $ json_flag $ sarif_arg))
+        (const run $ file_arg $ nodes_arg $ cap_arg $ seed_arg
+        $ profile_rate_arg $ threshold_arg $ json_flag $ sarif_arg))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -824,55 +807,19 @@ let analyze_cmd =
           bounds.  Nonzero exit when the plan is rejected.")
     term
 
-(* --- deploy --- *)
-
-let deploy_cmd =
-  let out_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"DIR"
-          ~doc:"Existing directory to write graph.rodgraph / plan.rodplan /                 plan.dot into.")
-  in
-  let run kind inputs ops_per_tree nodes seed samples polish out_dir =
-    let graph = build_graph kind ~seed ~inputs ~ops_per_tree in
-    let caps = Problem.homogeneous_caps ~n:nodes ~cap:1. in
-    let d = Deploy.of_cost_model ~polish ~samples ~graph ~caps () in
-    print_string (Deploy.describe d);
-    let direction =
-      Vec.ones (Query.Load_model.d_system (Query.Load_model.derive graph))
-    in
-    Format.printf "headroom along the all-ones rate direction: %.4g tuples/s@."
-      (Deploy.headroom d ~direction);
-    Option.iter
-      (fun dir ->
-        Deploy.save d ~dir;
-        Format.printf "artifacts written to %s@." dir)
-      out_dir
-  in
-  let term =
-    Term.(
-      const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
-      $ samples_arg $ polish_arg $ out_dir_arg)
-  in
-  Cmd.v
-    (Cmd.info "deploy"
-       ~doc:"Place a graph and print the full deployment summary.")
-    term
-
 (* --- replan --- *)
 
 let replan_cmd =
   let budget_arg =
     Arg.(
-      value & opt int 3
+      value & opt natural_int 3
       & info [ "budget" ] ~docv:"B"
           ~doc:"Maximum migrations the replanner may propose.")
   in
   let rates_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (list float)) None
       & info [ "rates" ] ~docv:"R1,R2,..."
           ~doc:
             "Observed system rate point, tuples/s per input stream.  Default: \
@@ -885,32 +832,33 @@ let replan_cmd =
           ~doc:"Without $(b,--rates): scale stream 0's mean rate by $(docv).")
   in
   let run kind inputs ops_per_tree nodes seed samples budget rates drift
-      metrics obs_trace prom =
+      export_obs =
     let graph = build_graph kind ~seed ~inputs ~ops_per_tree in
-    let caps = Problem.homogeneous_caps ~n:nodes ~cap:1. in
-    let deployment = Deploy.of_cost_model ~samples ~graph ~caps () in
-    print_string (Deploy.describe deployment);
-    let d_sys = Query.Load_model.d_system (Query.Load_model.derive graph) in
-    let rates =
+    let d_sys = Query.Graph.n_inputs graph in
+    (* --rates is checked before any deploy work runs. *)
+    let deployment =
       match rates with
-      | Some s ->
-        Vec.of_list
-          (List.map
-             (fun field -> float_of_string (String.trim field))
-             (String.split_on_char ',' s))
-      | None ->
-        let problem = deployment.Deploy.problem in
-        let l = Problem.total_coefficients problem in
-        let c_total = Problem.total_capacity problem in
-        Vec.init d_sys (fun k ->
-            let base = 0.6 *. c_total /. (float_of_int d_sys *. l.(k)) in
-            if k = 0 then drift *. base else base)
+      | Some rates when List.length rates <> d_sys ->
+        Error (Printf.sprintf "--rates needs %d comma-separated values" d_sys)
+      | _ ->
+        gated (fun () ->
+            Deploy.of_cost_model ~samples ~graph ~caps:(caps_of nodes) ())
     in
-    if Vec.dim rates <> d_sys then
-      `Error
-        ( false,
-          Printf.sprintf "--rates needs %d comma-separated values" d_sys )
-    else begin
+    match deployment with
+    | Error message -> `Error (false, message)
+    | Ok deployment ->
+      print_string (Deploy.describe deployment);
+      let rates =
+        match rates with
+        | Some rates -> Vec.of_list rates
+        | None ->
+          let problem = deployment.Deploy.problem in
+          let l = Problem.total_coefficients problem in
+          let c_total = Problem.total_capacity problem in
+          Vec.init d_sys (fun k ->
+              let base = 0.6 *. c_total /. (float_of_int d_sys *. l.(k)) in
+              if k = 0 then drift *. base else base)
+      in
       Format.printf "observed rates:";
       List.iter (fun r -> Format.printf " %.2f" r) (Vec.to_list rates);
       Format.printf "@.";
@@ -944,16 +892,14 @@ let replan_cmd =
           "replan rejected: no move set within budget %d improves the \
            placement at this rate point@."
           budget;
-      export_obs metrics obs_trace prom;
+      export_obs ();
       `Ok ()
-    end
   in
   let term =
     Term.(
       ret
         (const run $ graph_arg $ inputs_arg $ ops_arg $ nodes_arg $ seed_arg
-        $ samples_arg $ budget_arg $ rates_arg $ drift_arg $ metrics_arg
-        $ obs_trace_arg $ prom_arg))
+        $ samples_arg $ budget_arg $ rates_arg $ drift_arg $ obs_exports))
   in
   Cmd.v
     (Cmd.info "replan"
@@ -974,7 +920,7 @@ let experiment_cmd =
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller, faster sweeps.")
   in
-  let run id quick metrics obs_trace prom =
+  let run id quick export_obs =
     let result =
       match Experiments.Registry.find id with
       | Some e ->
@@ -986,15 +932,10 @@ let experiment_cmd =
             Printf.sprintf "unknown experiment %S; available: %s" id
               (String.concat ", " (Experiments.Registry.ids ())) )
     in
-    export_obs metrics obs_trace prom;
+    export_obs ();
     result
   in
-  let term =
-    Term.(
-      ret
-        (const run $ id_arg $ quick_arg $ metrics_arg $ obs_trace_arg
-        $ prom_arg))
-  in
+  let term = Term.(ret (const run $ id_arg $ quick_arg $ obs_exports)) in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one paper-reproduction experiment.")
     term
@@ -1020,7 +961,7 @@ let skew_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Also write the JSON summary to $(docv).")
   in
-  let run quick json out metrics obs_trace prom =
+  let run quick json out export_obs =
     let summary =
       lazy (Experiments.Exp_skew.summary_json
               (Experiments.Exp_skew.analyze ~quick ()))
@@ -1028,12 +969,11 @@ let skew_cmd =
     if json then print_string (Lazy.force summary)
     else Experiments.Exp_skew.run ~quick Format.std_formatter;
     Option.iter (fun path -> write_file path (Lazy.force summary)) out;
-    export_obs metrics obs_trace prom
+    export_obs ()
   in
   let term =
     Term.(
-      const run $ quick_arg $ json_arg $ out_arg $ metrics_arg $ obs_trace_arg
-      $ prom_arg)
+      const run $ quick_arg $ json_arg $ out_arg $ obs_exports)
   in
   Cmd.v
     (Cmd.info "skew"
@@ -1072,7 +1012,7 @@ let chaos_cmd =
       (Chaos.Scenario.describe outcome);
     Chaos.Oracle.passed outcome.Chaos.Scenario.verdict
   in
-  let run list quick seed scenario metrics obs_trace prom =
+  let run list quick seed scenario export_obs =
     let result =
       if list then begin
         List.iter
@@ -1103,14 +1043,14 @@ let chaos_cmd =
     in
     (* Telemetry is exported even when an oracle fails — a failing run
        is exactly the one whose trace is worth opening. *)
-    export_obs metrics obs_trace prom;
+    export_obs ();
     result
   in
   let term =
     Term.(
       ret
         (const run $ list_arg $ quick_arg $ chaos_seed_arg $ scenario_arg
-        $ metrics_arg $ obs_trace_arg $ prom_arg))
+        $ obs_exports))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1124,8 +1064,8 @@ let main_cmd =
   let info = Cmd.info "rod-cli" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      place_cmd; volume_cmd; trace_cmd; simulate_cmd; sim_cmd; cluster_cmd;
-      optimal_cmd; compile_cmd; analyze_cmd; failure_cmd; deploy_cmd;
+      deploy_cmd; place_cmd; volume_cmd; trace_cmd; simulate_cmd; sim_cmd;
+      cluster_cmd; optimal_cmd; compile_cmd; analyze_cmd; failure_cmd;
       replan_cmd; experiment_cmd; skew_cmd; chaos_cmd;
     ]
 

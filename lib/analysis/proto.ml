@@ -29,7 +29,8 @@ let rules =
       "deployed-assignment state is mutated on a path not dominated by \
        Plan_check" );
     ( "proto/ungated-plan",
-      "a Plan.make materialization is not dominated by Plan_check" );
+      "a Plan.make (or Rod_algorithm.plan) materialization is not \
+       dominated by Plan_check" );
     ( "proto/stale-gate",
       "a gated-by hatch names a function that is unknown or no longer calls \
        Plan_check" );
@@ -518,6 +519,11 @@ and apply env (f : flow) (e : expression) fn args =
     | comps, _ when last2 comps = Some ("Plan", "make") ->
       check_gated env f e.exp_loc "proto/ungated-plan"
         "this Plan.make materialization of a deployable assignment";
+      f
+    | comps, _ when last2 comps = Some ("Rod_algorithm", "plan") ->
+      (* [Rod_algorithm.plan] is [Plan.make] one call away. *)
+      check_gated env f e.exp_loc "proto/ungated-plan"
+        "this Rod_algorithm.plan materialization of a deployable assignment";
       f
     | _ -> f
 

@@ -38,8 +38,9 @@
 
     {b Gated mutation} ([gated-mutation] pass): any write to
     [deployed-assignment] state ([Array.set], [Array.blit] destination,
-    mutable-field assignment) and any [Plan.make] materialization in a
-    protocol-marked unit must be dominated by a [Plan_check] gate
+    mutable-field assignment) and any [Plan.make] materialization
+    (directly or through [Rod_algorithm.plan]) in a protocol-marked
+    unit must be dominated by a [Plan_check] gate
     ([assert_ok]/[check_graph]/[check_model]/[check_matrix]) on the
     same path, or carry a justification hatch on the same or preceding
     line:
@@ -52,8 +53,8 @@
     no-longer-gating function fails ([proto/stale-gate]), and a hatch
     that suppresses nothing fails ([proto/unused-hatch]), mirroring
     allowlist semantics.  Ungated writes are
-    [proto/ungated-mutation]; ungated [Plan.make] calls are
-    [proto/ungated-plan].
+    [proto/ungated-mutation]; ungated [Plan.make] and
+    [Rod_algorithm.plan] calls are [proto/ungated-plan].
 
     Markers and hatches count only inside comments ({!Comments}).
     Findings reuse {!Lint.diag}; allowlist filtering is {!Check}'s. *)

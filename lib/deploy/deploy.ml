@@ -23,8 +23,8 @@ type t = {
   analysis : Analysis.Plan_check.report;
 }
 
-let finish ?(polish = false) ?lower ?(samples = 8192) ~graph ~caps ~network
-    ~profile () =
+let finish ?(polish = false) ?lower ?place ?(samples = 8192) ~graph ~caps
+    ~network ~profile () =
   Obs.with_span ~cat:"deploy" "deploy.finish" (fun () ->
       (* Static analysis gates every deployment: a plan with a statically
          infeasible operator (or malformed load model) is rejected before
@@ -37,7 +37,9 @@ let finish ?(polish = false) ?lower ?(samples = 8192) ~graph ~caps ~network
       let problem = Rod.Problem.of_graph graph ~caps in
       let assignment =
         Obs.with_span ~cat:"deploy" "deploy.place" (fun () ->
-            Rod.Rod_algorithm.place ?lower problem)
+            match place with
+            | Some place -> place problem
+            | None -> Rod.Rod_algorithm.place ?lower problem)
       in
       let assignment =
         if polish then
@@ -63,12 +65,13 @@ let finish ?(polish = false) ?lower ?(samples = 8192) ~graph ~caps ~network
         analysis;
       })
 
-let of_cost_model ?polish ?lower ?samples ~graph ~caps () =
-  finish ?polish ?lower ?samples ~graph ~caps ~network:None ~profile:None ()
+let of_cost_model ?polish ?lower ?place ?samples ~graph ~caps () =
+  finish ?polish ?lower ?place ?samples ~graph ~caps ~network:None
+    ~profile:None ()
 
-let of_network ?polish ?samples ?replays ~network ~sample ~caps () =
+let of_network ?polish ?place ?samples ?replays ~network ~sample ~caps () =
   let profile = Spe.Profiler.profile ?replays network ~inputs:sample in
-  finish ?polish ?samples ~graph:profile.Spe.Profiler.graph ~caps
+  finish ?polish ?place ?samples ~graph:profile.Spe.Profiler.graph ~caps
     ~network:(Some network) ~profile:(Some profile) ()
 
 let of_query_file ?polish ?samples ?replays ~path ~sample ~caps () =

@@ -32,16 +32,22 @@ type t = {
 val of_cost_model :
   ?polish:bool ->
   ?lower:Linalg.Vec.t ->
+  ?place:(Rod.Problem.t -> int array) ->
   ?samples:int ->
   graph:Query.Graph.t ->
   caps:Linalg.Vec.t ->
   unit ->
   t
 (** Place a cost-model graph with ROD ([polish] adds the local-search
-    refinement; default false). *)
+    refinement; default false).  [place] swaps in another placer (a
+    baseline, or a traced ROD run); the default is
+    {!Rod.Rod_algorithm.place} with [lower], which also bounds the
+    volume estimate either way.  Whatever the placer, the analysis gate
+    runs first. *)
 
 val of_network :
   ?polish:bool ->
+  ?place:(Rod.Problem.t -> int array) ->
   ?samples:int ->
   ?replays:int ->
   network:Spe.Network.t ->
@@ -51,7 +57,7 @@ val of_network :
   t
 (** Profile the executable network on [sample] tuples (one
     timestamp-ascending list per input stream), then place the measured
-    cost model. *)
+    cost model ([place] as in {!of_cost_model}). *)
 
 val of_query_file :
   ?polish:bool ->

@@ -154,8 +154,36 @@ let test_save_artifacts () =
         (Query.Graph.n_ops graph');
       Alcotest.(check (array int)) "plan reloads" (Deploy.assignment d) plan')
 
+(* The default placer is ROD, with the same plan and QMC estimate as the
+   hand-built pipeline; a swapped-in placer runs behind the same gate. *)
+let test_placer_argument () =
+  let graph = Query.Builder.financial_compliance ~n_rules:6 in
+  let problem = Rod.Problem.of_graph graph ~caps in
+  let plan = Rod.Rod_algorithm.plan problem in
+  let d = Deploy.of_cost_model ~samples:2048 ~graph ~caps () in
+  Alcotest.(check (array int)) "default placer is ROD"
+    (Rod.Plan.assignment plan) (Deploy.assignment d);
+  Alcotest.(check (float 0.)) "same QMC ratio"
+    (Rod.Plan.volume_qmc ~samples:2048 plan).Feasible.Volume.ratio d.Deploy.ratio;
+  let rng = Random.State.make [| 3 |] in
+  let random problem = Baselines.random_balanced ~rng problem in
+  let r = Deploy.of_cost_model ~place:random ~samples:2048 ~graph ~caps () in
+  Alcotest.(check bool) "baseline placement deployed" true
+    (Deploy.assignment r <> Deploy.assignment d);
+  let hog = Query.Graph_io.load ~path:"fixtures/infeasible.rodgraph" in
+  let placed = ref false in
+  let place problem =
+    placed := true;
+    Rod.Rod_algorithm.place problem
+  in
+  (match Deploy.of_cost_model ~place ~graph:hog ~caps () with
+  | _ -> Alcotest.fail "expected the gate to reject the infeasible model"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "gate runs before the placer" false !placed
+
 let suite =
   [
+    Alcotest.test_case "placer argument" `Quick test_placer_argument;
     Alcotest.test_case "of_cost_model" `Quick test_of_cost_model;
     Alcotest.test_case "polish never hurts" `Quick test_polish_never_hurts;
     Alcotest.test_case "utilization and headroom" `Quick
