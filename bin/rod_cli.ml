@@ -344,10 +344,16 @@ let trace_cmd =
       & info [ "k"; "kind" ] ~docv:"KIND"
           ~doc:"$(b,pkt), $(b,tcp), $(b,http), $(b,poisson) or $(b,flash).")
   in
+  (* The Hurst estimate needs 32 intervals; 2^24 bounds the allocation. *)
+  let levels =
+    checked Arg.int
+      ~ok:(fun l -> l >= 5 && l <= 24)
+      ~expect:"an integer in [5, 24]"
+  in
   let levels_arg =
     Arg.(
-      value & opt int 8
-      & info [ "levels" ] ~docv:"L" ~doc:"Length = 2^L intervals.")
+      value & opt levels 8
+      & info [ "levels" ] ~docv:"L" ~doc:"Length = 2^L intervals, 5 <= L <= 24.")
   in
   let csv_arg =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit interval,rate CSV lines.")

@@ -88,6 +88,18 @@ let consumers g src =
   done;
   !acc
 
+let readers_of ~n_inputs inputs_of =
+  let of_input = Array.make n_inputs [] in
+  let of_op = Array.make (Array.length inputs_of) [] in
+  for j = Array.length inputs_of - 1 downto 0 do
+    for idx = Array.length inputs_of.(j) - 1 downto 0 do
+      match inputs_of.(j).(idx) with
+      | Sys_input k -> of_input.(k) <- (j, idx) :: of_input.(k)
+      | Op_output i -> of_op.(i) <- (j, idx) :: of_op.(i)
+    done
+  done;
+  (of_input, of_op)
+
 let sinks g =
   let feeds = Array.make (n_ops g) false in
   Array.iter

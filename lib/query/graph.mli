@@ -44,6 +44,17 @@ val sources : t -> int -> source list
 val consumers : t -> source -> int list
 (** Operators reading from the given stream, ascending. *)
 
+val readers_of :
+  n_inputs:int ->
+  source array array ->
+  (int * int) list array * (int * int) list array
+(** [readers_of ~n_inputs inputs_of] lists, in one pass, the
+    [(operator, input index)] pairs reading every stream of a wiring
+    whose operator [j] reads [inputs_of.(j)]: one array indexed by input
+    stream, one by operator, each list in ascending
+    [(operator, input index)] order.  Engines push events in this order,
+    so it fixes their tie-breaks. *)
+
 val sinks : t -> int list
 (** Operators whose output feeds no other operator. *)
 

@@ -92,21 +92,30 @@ type join_state = {
   sides : float Queue.t array;
 }
 
-let consumers_with_index graph =
-  let tbl = Hashtbl.create 64 in
-  for j = 0 to Graph.n_ops graph - 1 do
-    List.iteri
-      (fun idx src ->
-        let existing =
-          match Hashtbl.find_opt tbl src with Some l -> l | None -> []
-        in
-        Hashtbl.replace tbl src ((j, idx) :: existing))
-      (Graph.sources graph j)
-  done;
-  fun src ->
-    match Hashtbl.find_opt tbl src with
-    | Some l -> List.rev l
-    | None -> []
+(* Per-op service-time histograms, resolved once per process and grown
+   on demand, so a run neither registers m instruments nor touches the
+   registry lock.  Registrations survive [Obs.reset] and get-or-create
+   returns one instrument per key, so a cached handle is the one a
+   fresh registration would return. *)
+let op_service_cache = Atomic.make [||]
+
+let op_service_histograms m =
+  let cached = Atomic.get op_service_cache in
+  let have = Array.length cached in
+  if have >= m then cached
+  else begin
+    let grown =
+      Array.init m (fun j ->
+          if j < have then cached.(j)
+          else
+            Obs.histogram
+              ~labels:[ ("op", string_of_int j) ]
+              ~help:"Service wall time per work item (seconds)"
+              "rod_sim_op_service_seconds")
+    in
+    ignore (Atomic.compare_and_set op_service_cache cached grown : bool);
+    grown
+  end
 
 let bernoulli rng p = Random.State.float rng 1. < p
 
@@ -150,7 +159,9 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
   let dead = Array.make n false in
   let lost_count = ref 0 in
   let rng = Random.State.make [| config.seed |] in
-  let consumers = consumers_with_index graph in
+  let input_readers, op_readers =
+    Graph.readers_of ~n_inputs:d graph.Graph.inputs_of
+  in
   let nodes =
     Array.init n (fun i ->
         { capacity = caps.(i); queue = Queue.create (); current = None;
@@ -205,27 +216,21 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
         Sim_metrics.make_op_stat ~arity:(Op.arity (Graph.op graph j)))
   in
   let latencies = Sim_metrics.Samples.create () in
-  (* Per-op service-time histograms, resolved once up front so the
-     event loop never touches the registry lock. *)
-  let op_service =
-    Array.init m (fun j ->
-        Obs.histogram
-          ~labels:[ ("op", string_of_int j) ]
-          ~help:"Service wall time per work item (seconds)"
-          "rod_sim_op_service_seconds")
-  in
+  let op_service = op_service_histograms m in
   let migration_start = Array.make m 0. in
   let obs_event_count = ref 0 in
   let arrivals_count = ref 0 in
   let items_processed = ref 0 in
   let outputs_count = ref 0 in
-  let backlog = ref 0 in
+  (* Invariant: [queued] is the summed length of every node queue and
+     every migration buffer, kept at each transition. *)
+  let queued = ref 0 in
   let max_backlog = ref 0 in
   let measured t = t >= config.warmup && t <= until in
   (* Source tuples: deliver to every consumer of each input stream. *)
   Array.iteri
     (fun k times ->
-      let readers = consumers (Graph.Sys_input k) in
+      let readers = input_readers.(k) in
       List.iter
         (fun t ->
           if t <= until then begin
@@ -279,6 +284,7 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
     match Queue.take_opt node.queue with
     | None -> ()
     | Some item ->
+      decr queued;
       let outcome = service now item in
       let capacity =
         node.capacity
@@ -297,7 +303,10 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
   (* Route to the operator's current node (re-routing in-flight tuples
      after a migration), or into its buffer while it migrates. *)
   let deliver now item =
-    if migrating.(item.op) then Queue.add item buffers.(item.op)
+    if migrating.(item.op) then begin
+      Queue.add item buffers.(item.op);
+      incr queued
+    end
     else begin
       let node_idx = assignment.(item.op) in
       if dead.(node_idx) then begin
@@ -311,17 +320,13 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
         if measured now then incr dropped_count
       | Some _ | None ->
         Queue.add item node.queue;
+        incr queued;
         if node.current = None then start_service node_idx now
     end;
-    let total =
-      Array.fold_left (fun acc nd -> acc + Queue.length nd.queue) 0 nodes
-      + Array.fold_left (fun acc buf -> acc + Queue.length buf) 0 buffers
-    in
-    if total > !max_backlog then max_backlog := total
+    if !queued > !max_backlog then max_backlog := !queued
   in
   let emit now item count =
-    let src = Graph.Op_output item.op in
-    match consumers src with
+    match op_readers.(item.op) with
     | [] ->
       (* Sink operator: outputs leave the system. *)
       if measured now then begin
@@ -452,6 +457,8 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
         ~dur:(now -. migration_start.(op))
         "sim.migrate";
       let pending = buffers.(op) in
+      (* Each flushed item counts again as [deliver] re-adds it. *)
+      queued := !queued - Queue.length pending;
       let flush = Queue.create () in
       Queue.transfer pending flush;
       Queue.iter (fun item -> deliver now item) flush
@@ -464,6 +471,7 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
       (* Queued work dies with the node; the in-service item (if any) is
          dropped when its Complete event fires. *)
       if measured now then lost_count := !lost_count + Queue.length node.queue;
+      queued := !queued - Queue.length node.queue;
       Queue.clear node.queue;
       let moved = ref 0 in
       Array.iteri
@@ -512,12 +520,11 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
         ("events", string_of_int !obs_event_count);
       ]
     ~ts:0. ~dur:until "sim.run";
-  Array.iter
-    (fun node ->
-      backlog := !backlog + Queue.length node.queue;
-      if node.current <> None then incr backlog)
-    nodes;
-  Array.iter (fun buf -> backlog := !backlog + Queue.length buf) buffers;
+  let backlog =
+    Array.fold_left
+      (fun acc node -> if node.current <> None then acc + 1 else acc)
+      !queued nodes
+  in
   let span = until -. config.warmup in
   {
     Sim_metrics.duration = span;
@@ -526,7 +533,7 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
     arrivals = !arrivals_count;
     items_processed = !items_processed;
     outputs = !outputs_count;
-    backlog = !backlog;
+    backlog;
     max_backlog = !max_backlog;
     op_stats;
     migrations = !migrations_count;

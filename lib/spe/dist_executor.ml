@@ -125,10 +125,11 @@ let run ~network ~assignment ~caps ~cost ~inputs ?(config = default_config)
   let migration_start = Array.make m 0. in
   let migrations_count = ref 0 in
   let measured t = t >= config.warmup && t <= until in
+  let input_readers, op_readers = Network.readers network in
   (* Source tuples arrive at their timestamps. *)
   Array.iteri
     (fun k tuples ->
-      let readers = Network.consumers network (Graph.Sys_input k) in
+      let readers = input_readers.(k) in
       List.iter
         (fun tuple ->
           let ts = Tuple.ts tuple in
@@ -217,7 +218,7 @@ let run ~network ~assignment ~caps ~cost ~inputs ?(config = default_config)
     end
   in
   let emit now item produced =
-    match Network.consumers network (Graph.Op_output item.op) with
+    match op_readers.(item.op) with
     | [] ->
       if measured now then
         List.iter

@@ -1,5 +1,3 @@
-module Graph = Query.Graph
-
 type op_run_stat = {
   consumed : int array;
   mutable emitted : int;
@@ -262,15 +260,7 @@ let run ?(record = false) network ~inputs =
   in
   let logs = if record then Some (Array.make m []) else None in
   let outputs = ref [] in
-  let consumer_table = Hashtbl.create 32 in
-  let consumers_of src =
-    match Hashtbl.find_opt consumer_table src with
-    | Some c -> c
-    | None ->
-      let c = Network.consumers network src in
-      Hashtbl.add consumer_table src c;
-      c
-  in
+  let input_readers, op_readers = Network.readers network in
   let rec push j input_idx tuple =
     let stat = stats.(j) in
     stat.consumed.(input_idx) <- stat.consumed.(input_idx) + 1;
@@ -283,7 +273,7 @@ let run ?(record = false) network ~inputs =
     stat.emitted <- stat.emitted + List.length produced;
     deliver j produced
   and deliver j produced =
-    match consumers_of (Graph.Op_output j) with
+    match op_readers.(j) with
     | [] -> List.iter (fun t -> outputs := (j, t) :: !outputs) produced
     | readers ->
       List.iter
@@ -301,7 +291,7 @@ let run ?(record = false) network ~inputs =
     (fun (k, tuple) ->
       List.iter
         (fun (c, idx) -> push c idx tuple)
-        (consumers_of (Graph.Sys_input k)))
+        input_readers.(k))
     events;
   (* End of stream: flush open windows, upstream first so cascades
      propagate. *)

@@ -56,14 +56,7 @@ let op t j = t.ops.(j)
 
 let sources t j = Array.to_list t.inputs_of.(j)
 
-let consumers t src =
-  let acc = ref [] in
-  for j = n_ops t - 1 downto 0 do
-    Array.iteri
-      (fun idx s -> if s = src then acc := (j, idx) :: !acc)
-      t.inputs_of.(j)
-  done;
-  !acc
+let readers t = Graph.readers_of ~n_inputs:t.n_inputs t.inputs_of
 
 let sinks t =
   let feeds = Array.make (n_ops t) false in

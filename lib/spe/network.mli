@@ -22,8 +22,8 @@ val op : t -> int -> Sop.t
 
 val sources : t -> int -> Query.Graph.source list
 
-val consumers : t -> Query.Graph.source -> (int * int) list
-(** [(operator, input index)] pairs reading a stream. *)
+val readers : t -> (int * int) list array * (int * int) list array
+(** {!Query.Graph.readers_of} of the network's wiring. *)
 
 val sinks : t -> int list
 

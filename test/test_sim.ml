@@ -303,6 +303,118 @@ let prop_conservation_single_op =
       m.Sim_metrics.arrivals
       = m.Sim_metrics.items_processed + m.Sim_metrics.backlog)
 
+(* --- engine bookkeeping golden ------------------------------------ *)
+
+(* A bursty eight-operator graph on three nodes that reaches every
+   bookkeeping path of [Engine.run]: three readers of one input stream,
+   joins and a two-input operator with unequal per-input costs fed
+   twice from one source, so event tie-breaks depend on reader order; a
+   fan-in union; and enough overload that queues, buffers and the
+   backlog peak move. *)
+let golden_graph () =
+  let open Query in
+  Graph.create ~n_inputs:2
+    ~ops:
+      [
+        (Op.filter ~cost:0.004 ~sel:0.8 (), [ Graph.Sys_input 0 ]);
+        (Op.map ~cost:0.003 (), [ Graph.Sys_input 0 ]);
+        ( Op.join ~window:0.2 ~cost_per_pair:1e-4 ~sel:0.1 (),
+          [ Graph.Op_output 0; Graph.Op_output 0 ] );
+        ( Op.union ~cost:0.002 ~n_inputs:2 (),
+          [ Graph.Op_output 1; Graph.Sys_input 1 ] );
+        (Op.filter ~cost:0.002 ~sel:0.9 (), [ Graph.Op_output 2 ]);
+        (Op.delay ~cost:0.001 ~sel:1.5 (), [ Graph.Op_output 3 ]);
+        ( Op.join ~window:0.1 ~cost_per_pair:2e-4 ~sel:0.05 (),
+          [ Graph.Sys_input 1; Graph.Sys_input 1 ] );
+        ( {
+            Op.name = "mix";
+            kind =
+              Op.Linear
+                { costs = [| 0.001; 0.003 |]; selectivities = [| 1.; 0.5 |] };
+            out_xfer_cost = 0.;
+          },
+          [ Graph.Sys_input 0; Graph.Sys_input 0 ] );
+      ]
+    ()
+
+let golden_run ?dynamic config =
+  let rng = Random.State.make [| 17 |] in
+  let trace rates = Trace.create ~dt:1. rates in
+  let arrivals =
+    [|
+      Generators.poisson_arrivals ~rng
+        ~trace:(trace [| 60.; 150.; 80.; 220.; 40.; 180.; 90.; 120. |]);
+      Generators.poisson_arrivals ~rng
+        ~trace:(trace [| 100.; 40.; 250.; 60.; 160.; 30.; 200.; 80. |]);
+    |]
+  in
+  Engine.run ~graph:(golden_graph ()) ~assignment:[| 0; 1; 2; 0; 1; 2; 0; 1 |]
+    ~caps:(Vec.of_list [ 1.; 1.; 0.8 ])
+    ~arrivals ~config ?dynamic ~until:8. ()
+
+let fingerprint name m =
+  let open Sim_metrics in
+  Printf.sprintf
+    "%s items=%d outputs=%d backlog=%d max_backlog=%d dropped=%d lost=%d \
+     migrations=%d p50=%h p99=%h"
+    name m.items_processed m.outputs m.backlog m.max_backlog m.dropped m.lost
+    m.migrations
+    (Samples.percentile m.latencies 50.)
+    (Samples.percentile m.latencies 99.)
+
+let golden_fingerprints () =
+  let base = { Engine.default_config with seed = 5; warmup = 1. } in
+  let crash =
+    Dsim.Fault.Crash { node = 0; at = 3.5; recovery = [| 1; 1; 2; 2; 1; 2; 1; 2 |] }
+  in
+  (* Every tick moves two operators one node along, so buffers fill
+     during each drain and state transfer and are flushed after. *)
+  let decide ~time ~utilization:_ ~op_cpu:_ ~rates:_ ~assignment =
+    let k = int_of_float (time /. 0.5) in
+    List.map
+      (fun op -> (op, (assignment.(op) + 1) mod 3))
+      [ k mod 8; (k + 3) mod 8 ]
+  in
+  let dynamic =
+    {
+      Engine.interval = 0.5;
+      migration_delay = 0.1;
+      drain_delay = 0.05;
+      state_delay = (fun op -> 0.02 *. float_of_int op);
+      decide;
+    }
+  in
+  [
+    fingerprint "plain" (golden_run base);
+    fingerprint "shed" (golden_run { base with shed_above = Some 4 });
+    fingerprint "crash" (golden_run { base with faults = [ crash ] });
+    fingerprint "dynamic" (golden_run ~dynamic base);
+    fingerprint "dynamic+crash"
+      (golden_run ~dynamic { base with faults = [ crash ] });
+  ]
+
+(* Any change to backlog accounting, reader order or event tie-breaks
+   shows here. *)
+let golden_expected =
+  [
+    "plain items=8714 outputs=4073 backlog=1954 max_backlog=2008 dropped=0 \
+     lost=0 migrations=0 p50=0x1.253e4e7759cap+0 p99=0x1.6a4ca1e47f81ap+1";
+    "shed items=7488 outputs=3355 backlog=4 max_backlog=10 dropped=2965 \
+     lost=0 migrations=0 p50=0x1.673115d23cp-7 p99=0x1.f0f36a78357b3p-6";
+    "crash items=7120 outputs=3155 backlog=1907 max_backlog=1908 dropped=0 \
+     lost=496 migrations=0 p50=0x1.172150204cb3p-1 p99=0x1.479baefef7f35p+1";
+    "dynamic items=8553 outputs=3918 backlog=2037 max_backlog=2115 \
+     dropped=0 lost=0 migrations=32 p50=0x1.1cf04db3e965cp-1 \
+     p99=0x1.a404d01b2475ap+1";
+    "dynamic+crash items=5468 outputs=2236 backlog=3680 max_backlog=3678 \
+     dropped=0 lost=54 migrations=32 p50=0x1.5d4482d55a9d8p-2 \
+     p99=0x1.6b4b4c728e03ap+0";
+  ]
+
+let test_engine_golden () =
+  Alcotest.(check (list string))
+    "engine fingerprints" golden_expected (golden_fingerprints ())
+
 let suite =
   [
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
@@ -321,5 +433,6 @@ let suite =
       test_load_shedding_bounds_latency;
     Alcotest.test_case "probe agrees with analysis" `Slow test_probe_agrees_with_analysis;
     Alcotest.test_case "simulate traces" `Quick test_simulate_traces;
+    Alcotest.test_case "engine bookkeeping golden" `Quick test_engine_golden;
     QCheck_alcotest.to_alcotest prop_conservation_single_op;
   ]
