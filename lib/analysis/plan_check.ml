@@ -20,6 +20,7 @@ let rules =
   [
     ("bad-capacity", "a node capacity is non-finite or non-positive, or the cluster is empty");
     ("dimension-mismatch", "the load matrix width disagrees with the expected variable count");
+    ("too-many-variables", "the model has more rate variables than the QMC sampler supports");
     ("empty-plan", "the plan has no operators");
     ("nan-coefficient", "a load coefficient is NaN or infinite");
     ("negative-coefficient", "a load coefficient is negative");
@@ -73,6 +74,11 @@ let check_matrix ?(threshold = 0.5) ?expect_vars ?op_name ?var_name ~lo ~caps ()
       "the load matrix has %d rate variables but the model declares %d" d
       expected
   | Some _ | None -> ());
+  if d > Feasible.Halton.max_dim then
+    add Error "too-many-variables"
+      "the load matrix has %d rate variables but feasible-set sampling \
+       supports at most %d"
+      d Feasible.Halton.max_dim;
   if m = 0 then add Warning "empty-plan" "the plan has no operators";
   let values_ok = ref true in
   for j = 0 to m - 1 do

@@ -7,7 +7,9 @@
 
     - {b well-formedness} (errors): NaN/infinite or negative
       coefficients, non-positive or NaN capacities, an empty cluster,
-      a dimension mismatch against the expected variable count;
+      a dimension mismatch against the expected variable count, more
+      rate variables than QMC sampling supports
+      ({!Feasible.Halton.max_dim});
     - {b structural} (warnings): a variable carrying no load anywhere
       (the feasible set is unbounded along it — {!Rod.Problem.create}
       rejects such instances), an operator whose load row is all zero

@@ -45,6 +45,18 @@ type outcome = {
    provably cannot flip ([violations >= 2] for relocations,
    [violations >= 3] for swaps).
 
+   No per-operator contribution table is kept: an operator's load on
+   sample [s] is recomputed where a kernel needs it, as the
+   left-to-right dot of its coefficient row with the stored QMC point,
+
+     acc := 0.; for k: acc := !acc +. row.(k) *. points.(s * dim + k)
+
+   which is the exact float expression the node loads were accumulated
+   from, so every recomputed value is bit-identical to the stored one
+   it replaces.  The dot is written out at each site (a float-returning
+   helper would box its result on every call), with the accumulator
+   hoisted out of the sample loop.
+
    The sample dimension is sharded across the pool for the mutating
    [shift] path and the fused relocation kernel: per-sample state lines
    are touched by exactly one chunk, and every reduction is a sum of
@@ -55,8 +67,10 @@ type outcome = {
 type scorer = {
   samples : int;
   n_nodes : int;
+  dim : int;
   pool : Pool.t;
-  loads : float array array;  (* op -> sample -> load contribution (>= 0) *)
+  lo : float array array;  (* op -> load coefficient row (>= 0) *)
+  points : float array;  (* sample s -> QMC rate point at [s * dim] *)
   node_load : float array array;  (* node -> sample *)
   violations : int array;  (* sample -> number of saturated nodes *)
   caps : Vec.t;
@@ -67,11 +81,14 @@ type scorer = {
      [gain_chunks.(c)]; the reduced per-node gains land in [gains]. *)
   gain_chunks : int array array;
   gains : int array;
-  (* Swap-batch scratch for one (j1, current state) preparation: the
-     home-row subtraction shared across every partner j2, the violation
-     delta of j1's removal, and the (typically tiny) list of samples
-     where a swap could possibly gain feasibility. *)
-  swap_a1 : float array;  (* sample -> node_load(a) -. loads(j1) *)
+  (* Swap-batch scratch for one (j1, current state) preparation: j1's
+     contribution and the home-row subtraction shared across every
+     partner j2, the violation delta of j1's removal, and the
+     (typically tiny) list of samples where a swap could possibly gain
+     feasibility.  The rows are filled only when that list is
+     non-empty. *)
+  swap_c1 : float array;  (* sample -> contribution of j1 *)
+  swap_a1 : float array;  (* sample -> node_load(a) -. contribution *)
   swap_t1 : int array;  (* sample -> violation delta of removing j1 *)
   swap_pos : int array;  (* candidate-gain sample indices *)
   mutable swap_pos_len : int;
@@ -89,44 +106,39 @@ let make_scorer ?pool problem assignment samples =
   let c_total = Problem.total_capacity problem in
   let dim = Problem.dim problem in
   let lo = problem.Problem.lo in
-  let loads = Array.init m (fun _ -> Array.make samples 0.) in
-  (* One fused pass per sample chunk: generate the QMC rate point into
-     per-chunk scratch (hoisted out of the loop body) and immediately
-     fold it into every operator's per-sample load contribution — the
-     samples x dim point table is never materialized.  The dot product
-     accumulates left-to-right exactly like [Mat.dot_rows], so the load
-     table is bit-identical to the former build-points-then-dot form. *)
-  Pool.parallel_for pool ~n:samples (fun lo_s hi_s ->
-      let cube = Array.make dim 0. in
-      let point = Array.make dim 0. in
-      let acc = ref 0. in
-      for s = lo_s to hi_s - 1 do
-        Feasible.Halton.point_into cube s;
-        Feasible.Simplex.sample_ideal_into ~l ~c_total ~cube_point:cube
-          ~scratch:cube point;
-        for j = 0 to m - 1 do
-          let row = lo.(j) in
-          acc := 0.;
-          for k = 0 to dim - 1 do
-            acc := !acc +. (row.(k) *. point.(k))
-          done;
-          loads.(j).(s) <- !acc
-        done
-      done);
-  let node_load = Array.init n (fun _ -> Array.make samples 0.) in
   let caps = problem.Problem.caps in
+  let points = Array.make (samples * dim) 0. in
+  let node_load = Array.init n (fun _ -> Array.make samples 0.) in
   let violations = Array.make samples 0 in
+  (* One fused pass per sample chunk: generate the chunk's QMC rate
+     points into the shared block (the per-point scratch is hoisted out
+     of the loop body), fold every operator's contribution into its
+     home row — operator-outer, so each (node, sample) cell sums its
+     operators in ascending order — and count the violations. *)
   let feasible =
-    Pool.map_reduce pool ~n:samples ~init:0 ~combine:( + ) ~map:(fun lo hi ->
-        Array.iteri
-          (fun j node ->
-            let row = node_load.(node) and contrib = loads.(j) in
-            for s = lo to hi - 1 do
-              row.(s) <- row.(s) +. contrib.(s)
-            done)
-          assignment;
+    Pool.map_reduce pool ~n:samples ~init:0 ~combine:( + ) ~map:(fun lo_s hi_s ->
+        let cube = Array.make dim 0. in
+        let point = Array.make dim 0. in
+        for s = lo_s to hi_s - 1 do
+          Feasible.Halton.point_into cube s;
+          Feasible.Simplex.sample_ideal_into ~l ~c_total ~cube_point:cube
+            ~scratch:cube point;
+          Array.blit point 0 points (s * dim) dim
+        done;
+        let acc = ref 0. in
+        for j = 0 to m - 1 do
+          let row = lo.(j) and load = node_load.(assignment.(j)) in
+          for s = lo_s to hi_s - 1 do
+            let base = s * dim in
+            acc := 0.;
+            for k = 0 to dim - 1 do
+              acc := !acc +. (row.(k) *. points.(base + k))
+            done;
+            load.(s) <- load.(s) +. !acc
+          done
+        done;
         let feasible = ref 0 in
-        for s = lo to hi - 1 do
+        for s = lo_s to hi_s - 1 do
           for i = 0 to n - 1 do
             if node_load.(i).(s) > caps.(i) then
               violations.(s) <- violations.(s) + 1
@@ -139,8 +151,10 @@ let make_scorer ?pool problem assignment samples =
   {
     samples;
     n_nodes = n;
+    dim;
     pool;
-    loads;
+    lo;
+    points;
     node_load;
     violations;
     caps;
@@ -148,10 +162,29 @@ let make_scorer ?pool problem assignment samples =
     feasible;
     gain_chunks = Array.init ways (fun _ -> Array.make n 0);
     gains = Array.make n 0;
+    swap_c1 = Array.make samples 0.;
     swap_a1 = Array.make samples 0.;
     swap_t1 = Array.make samples 0;
     swap_pos = Array.make samples 0;
     swap_pos_len = 0;
+  }
+
+(* The QMC point block and coefficient rows are read-only, so they are
+   shared; the mutable state is copied and the scratch is private. *)
+let copy scorer assignment =
+  if assignment <> scorer.assignment then
+    invalid_arg "Local_search.copy: assignment differs from the scorer's";
+  {
+    scorer with
+    assignment;
+    node_load = Array.map Array.copy scorer.node_load;
+    violations = Array.copy scorer.violations;
+    gain_chunks = Array.map Array.copy scorer.gain_chunks;
+    gains = Array.copy scorer.gains;
+    swap_c1 = Array.copy scorer.swap_c1;
+    swap_a1 = Array.copy scorer.swap_a1;
+    swap_t1 = Array.copy scorer.swap_t1;
+    swap_pos = Array.copy scorer.swap_pos;
   }
 
 (* Apply op j's contribution to node i with the given sign, keeping the
@@ -159,17 +192,24 @@ let make_scorer ?pool problem assignment samples =
    disjoint sample ranges; the feasible delta is an exact integer sum,
    so the parallel result is identical to the sequential one. *)
 let shift scorer j i sign =
-  let row = scorer.node_load.(i) and contrib = scorer.loads.(j) in
+  let load = scorer.node_load.(i) and row = scorer.lo.(j) in
+  let points = scorer.points and dim = scorer.dim in
   let cap = scorer.caps.(i) in
   let violations = scorer.violations in
   let delta =
     Pool.map_reduce scorer.pool ~n:scorer.samples ~init:0 ~combine:( + )
       ~map:(fun lo hi ->
         let delta = ref 0 in
+        let acc = ref 0. in
         for s = lo to hi - 1 do
-          let before = row.(s) in
-          let after = before +. (sign *. contrib.(s)) in
-          row.(s) <- after;
+          let base = s * dim in
+          acc := 0.;
+          for k = 0 to dim - 1 do
+            acc := !acc +. (row.(k) *. points.(base + k))
+          done;
+          let before = load.(s) in
+          let after = before +. (sign *. !acc) in
+          load.(s) <- after;
           if before <= cap && after > cap then begin
             if violations.(s) = 0 then decr delta;
             violations.(s) <- violations.(s) + 1
@@ -201,18 +241,25 @@ let gain scorer j ~to_node =
   else begin
     let row_f = scorer.node_load.(from_node)
     and row_t = scorer.node_load.(to_node)
-    and contrib = scorer.loads.(j) in
+    and row = scorer.lo.(j) in
+    let points = scorer.points and dim = scorer.dim in
     let cap_f = scorer.caps.(from_node) and cap_t = scorer.caps.(to_node) in
     let violations = scorer.violations in
     Pool.map_reduce scorer.pool ~n:scorer.samples ~init:0 ~combine:( + )
       ~map:(fun lo hi ->
         let delta = ref 0 in
+        let acc = ref 0. in
         for s = lo to hi - 1 do
           let v = violations.(s) in
           (* |Δv| <= 2 across both steps, so v >= 3 can never reach 0
              and, being nonzero already, contributes no delta. *)
           if v < 3 then begin
-            let c = contrib.(s) in
+            let base = s * dim in
+            acc := 0.;
+            for k = 0 to dim - 1 do
+              acc := !acc +. (row.(k) *. points.(base + k))
+            done;
+            let c = !acc in
             let before_f = row_f.(s) in
             let after_f = before_f +. (-1. *. c) in
             let v1 =
@@ -246,12 +293,14 @@ let swap_gain scorer j1 j2 =
   if a = b then
     invalid_arg "Local_search.swap_gain: operators share a node";
   let row_a = scorer.node_load.(a) and row_b = scorer.node_load.(b) in
-  let c1 = scorer.loads.(j1) and c2 = scorer.loads.(j2) in
+  let r1 = scorer.lo.(j1) and r2 = scorer.lo.(j2) in
+  let points = scorer.points and dim = scorer.dim in
   let cap_a = scorer.caps.(a) and cap_b = scorer.caps.(b) in
   let violations = scorer.violations in
   Pool.map_reduce scorer.pool ~n:scorer.samples ~init:0 ~combine:( + )
     ~map:(fun lo hi ->
       let delta = ref 0 in
+      let acc1 = ref 0. and acc2 = ref 0. in
       for s = lo to hi - 1 do
         let v = violations.(s) in
         (* |Δv| <= 4 across the four steps but the two removals can
@@ -260,7 +309,14 @@ let swap_gain scorer j1 j2 =
            fused sweep uses.  The primitive keeps the sign-agnostic
            bound for symmetry with the arms below. *)
         if v < 5 then begin
-          let ca = c1.(s) and cb = c2.(s) in
+          let base = s * dim in
+          acc1 := 0.;
+          acc2 := 0.;
+          for k = 0 to dim - 1 do
+            acc1 := !acc1 +. (r1.(k) *. points.(base + k));
+            acc2 := !acc2 +. (r2.(k) *. points.(base + k))
+          done;
+          let ca = !acc1 and cb = !acc2 in
           let a0 = row_a.(s) in
           let a1 = a0 +. (-1. *. ca) in
           let v1 =
@@ -303,14 +359,23 @@ let swap_gain scorer j1 j2 =
    skipped wholesale. *)
 let relocation_positive_bound scorer j =
   let home = scorer.assignment.(j) in
-  let row = scorer.node_load.(home) and contrib = scorer.loads.(j) in
+  let load = scorer.node_load.(home) and row = scorer.lo.(j) in
+  let points = scorer.points and dim = scorer.dim in
   let cap = scorer.caps.(home) in
   let violations = scorer.violations in
   let count = ref 0 in
+  let acc = ref 0. in
   for s = 0 to scorer.samples - 1 do
     if violations.(s) = 1 then begin
-      let h = row.(s) in
-      if h > cap && h -. contrib.(s) <= cap then incr count
+      let h = load.(s) in
+      if h > cap then begin
+        let base = s * dim in
+        acc := 0.;
+        for k = 0 to dim - 1 do
+          acc := !acc +. (row.(k) *. points.(base + k))
+        done;
+        if h -. !acc <= cap then incr count
+      end
     end
   done;
   !count
@@ -340,7 +405,8 @@ let relocation_positive_bound scorer j =
 let relocation_gains scorer j =
   let n = scorer.n_nodes in
   let home = scorer.assignment.(j) in
-  let home_row = scorer.node_load.(home) and contrib = scorer.loads.(j) in
+  let home_row = scorer.node_load.(home) and row_j = scorer.lo.(j) in
+  let points = scorer.points and dim = scorer.dim in
   let cap_h = scorer.caps.(home) in
   let node_load = scorer.node_load and caps = scorer.caps in
   let violations = scorer.violations in
@@ -349,23 +415,30 @@ let relocation_gains scorer j =
     (Pool.map_chunks_i scorer.pool ~n:scorer.samples (fun c lo hi ->
          let row = gain_chunks.(c) in
          Array.fill row 0 n 0;
+         let acc = ref 0. in
          for s = lo to hi - 1 do
            let v = violations.(s) in
-           if v = 0 then begin
-             let cs = contrib.(s) in
-             if cs > 0. then
+           (* A v = 1 sample whose saturated node is not the home cannot
+              flip, so only the v = 0 and home-saturated v = 1 samples
+              need j's contribution. *)
+           if v = 0 || (v = 1 && home_row.(s) > cap_h) then begin
+             let base = s * dim in
+             acc := 0.;
+             for k = 0 to dim - 1 do
+               acc := !acc +. (row_j.(k) *. points.(base + k))
+             done;
+             let cs = !acc in
+             if v = 0 then begin
+               if cs > 0. then
+                 for i = 0 to n - 1 do
+                   if i <> home && node_load.(i).(s) +. cs > caps.(i) then
+                     row.(i) <- row.(i) - 1
+                 done
+             end
+             else if home_row.(s) -. cs <= cap_h then
                for i = 0 to n - 1 do
-                 if i <> home && node_load.(i).(s) +. cs > caps.(i) then
-                   row.(i) <- row.(i) - 1
-               done
-           end
-           else if v = 1 then begin
-             let h = home_row.(s) in
-             let cs = contrib.(s) in
-             if h > cap_h && h -. cs <= cap_h then
-               for i = 0 to n - 1 do
-                 if i <> home && not (node_load.(i).(s) +. cs > caps.(i))
-                 then row.(i) <- row.(i) + 1
+                 if i <> home && not (node_load.(i).(s) +. cs > caps.(i)) then
+                   row.(i) <- row.(i) + 1
                done
            end
          done));
@@ -380,36 +453,65 @@ let relocation_gains scorer j =
   done;
   gains
 
-(* Prepare the swap batch for [j1] against the current state: cache the
-   home-row subtraction [node_load(a) -. c1] and its violation delta
-   per sample (shared by every partner j2), and collect the samples
-   where a swap could possibly gain feasibility.  A sample with
-   violation count v can only reach v' = 0 if v + t1 <= 1, because the
-   only remaining decrement in the four-step simulation is j2's removal
-   from b; with nonnegative contributions v = 0 samples can only lose.
-   The resulting candidate list is usually tiny, which is what makes
-   the quadratic swap sweep affordable. *)
+(* Prepare the swap batch for [j1] against the current state: collect
+   the samples where a swap could possibly gain feasibility, then, only
+   if there are any, cache j1's contribution, the home-row subtraction
+   [node_load(a) -. c1] and its violation delta per sample (shared by
+   every partner j2).  A sample with violation count v can only reach
+   v' = 0 if v + t1 <= 1, because the only remaining decrement in the
+   four-step simulation is j2's removal from b; with nonnegative
+   contributions v = 0 samples can only lose.  So v = 1 samples are
+   always candidates, v = 2 samples only when removing j1 un-saturates
+   its home — the one case that needs j1's contribution.  The resulting
+   candidate list is usually tiny (most j1 have none), which is what
+   makes the quadratic swap sweep affordable. *)
 let swap_prepare scorer j1 =
   let a = scorer.assignment.(j1) in
-  let row_a = scorer.node_load.(a) and c1 = scorer.loads.(j1) in
+  let row_a = scorer.node_load.(a) and r1 = scorer.lo.(j1) in
+  let points = scorer.points and dim = scorer.dim in
   let cap_a = scorer.caps.(a) in
   let violations = scorer.violations in
-  let a1s = scorer.swap_a1 and t1s = scorer.swap_t1 in
   let pos = scorer.swap_pos in
   let len = ref 0 in
+  let acc = ref 0. in
   for s = 0 to scorer.samples - 1 do
-    let a0 = row_a.(s) in
-    let a1 = a0 -. c1.(s) in
-    let t1 = if a0 > cap_a && a1 <= cap_a then -1 else 0 in
-    a1s.(s) <- a1;
-    t1s.(s) <- t1;
     let v = violations.(s) in
-    if v >= 1 && v <= 2 && v + t1 <= 1 then begin
+    if v = 1 then begin
       pos.(!len) <- s;
       incr len
     end
+    else if v = 2 then begin
+      let a0 = row_a.(s) in
+      if a0 > cap_a then begin
+        let base = s * dim in
+        acc := 0.;
+        for k = 0 to dim - 1 do
+          acc := !acc +. (r1.(k) *. points.(base + k))
+        done;
+        if a0 -. !acc <= cap_a then begin
+          pos.(!len) <- s;
+          incr len
+        end
+      end
+    end
   done;
-  scorer.swap_pos_len <- !len
+  scorer.swap_pos_len <- !len;
+  if !len > 0 then begin
+    let c1s = scorer.swap_c1 and a1s = scorer.swap_a1 in
+    let t1s = scorer.swap_t1 in
+    for s = 0 to scorer.samples - 1 do
+      let base = s * dim in
+      acc := 0.;
+      for k = 0 to dim - 1 do
+        acc := !acc +. (r1.(k) *. points.(base + k))
+      done;
+      let a0 = row_a.(s) in
+      let a1 = a0 -. !acc in
+      c1s.(s) <- !acc;
+      a1s.(s) <- a1;
+      t1s.(s) <- (if a0 > cap_a && a1 <= cap_a then -1 else 0)
+    done
+  end
 
 (* Decide the swap (j1, j2) from the prepared batch: the positive part
    of the gain is summed over the candidate list only, and the negative
@@ -417,29 +519,42 @@ let swap_prepare scorer j1 =
    when some sample actually flips feasible — with an early exit as
    soon as the losses cancel the wins.  The accept decision (gain > 0)
    is exactly the one the mutate-and-undo evaluation reaches, at a
-   fraction of the work.  [swap_prepare scorer j1] must be current. *)
+   fraction of the work.  [swap_prepare scorer j1] must be current and
+   have found candidates. *)
 let swap_try scorer j1 j2 =
   let a = scorer.assignment.(j1) and b = scorer.assignment.(j2) in
-  let row_b = scorer.node_load.(b) in
-  let c1 = scorer.loads.(j1) and c2 = scorer.loads.(j2) in
+  let row_b = scorer.node_load.(b) and r2 = scorer.lo.(j2) in
+  let points = scorer.points and dim = scorer.dim in
   let cap_a = scorer.caps.(a) and cap_b = scorer.caps.(b) in
   let violations = scorer.violations in
-  let a1s = scorer.swap_a1 and t1s = scorer.swap_t1 in
+  let c1s = scorer.swap_c1 and a1s = scorer.swap_a1 in
+  let t1s = scorer.swap_t1 in
   let pos_idx = scorer.swap_pos in
   let pos = ref 0 in
+  let acc = ref 0. in
   for k = 0 to scorer.swap_pos_len - 1 do
     let s = pos_idx.(k) in
-    let v = violations.(s) in
-    let cb = c2.(s) in
+    let v1 = violations.(s) + t1s.(s) in
     let b0 = row_b.(s) in
-    let b1 = b0 +. c1.(s) in
-    let t2 = if b0 <= cap_b && b1 > cap_b then 1 else 0 in
-    let b2 = b1 -. cb in
-    let t3 = if b1 > cap_b && b2 <= cap_b then -1 else 0 in
-    let a1 = a1s.(s) in
-    let a2 = a1 +. cb in
-    let t4 = if a1 <= cap_a && a2 > cap_a then 1 else 0 in
-    if v + t1s.(s) + t2 + t3 + t4 = 0 then incr pos
+    (* v1 is 0 or 1 on a candidate.  From 1 only j2's removal from b
+       can reach 0, and that needs b saturated already (t2 = 0,
+       t3 = -1), so an unsaturated b skips j2's contribution. *)
+    if v1 = 0 || b0 > cap_b then begin
+      let base = s * dim in
+      acc := 0.;
+      for k = 0 to dim - 1 do
+        acc := !acc +. (r2.(k) *. points.(base + k))
+      done;
+      let cb = !acc in
+      let b1 = b0 +. c1s.(s) in
+      let t2 = if b0 <= cap_b && b1 > cap_b then 1 else 0 in
+      let b2 = b1 -. cb in
+      let t3 = if b1 > cap_b && b2 <= cap_b then -1 else 0 in
+      let a1 = a1s.(s) in
+      let a2 = a1 +. cb in
+      let t4 = if a1 <= cap_a && a2 > cap_a then 1 else 0 in
+      if v1 + t2 + t3 + t4 = 0 then incr pos
+    end
   done;
   if !pos = 0 then false
   else begin
@@ -452,9 +567,14 @@ let swap_try scorer j1 j2 =
     let samples = scorer.samples in
     while !neg < !pos && !s < samples do
       if violations.(!s) = 0 then begin
-        let cb = c2.(!s) in
+        let base = !s * dim in
+        acc := 0.;
+        for k = 0 to dim - 1 do
+          acc := !acc +. (r2.(k) *. points.(base + k))
+        done;
+        let cb = !acc in
         let b0 = row_b.(!s) in
-        let b1 = b0 +. c1.(!s) in
+        let b1 = b0 +. c1s.(!s) in
         let t2 = if b1 > cap_b then 1 else 0 in
         let b2 = b1 -. cb in
         let t3 = if b1 > cap_b && b2 <= cap_b then -1 else 0 in

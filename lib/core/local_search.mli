@@ -25,8 +25,13 @@
     where [active] counts samples with [v <= 1]; swap sweeps are
     [O(m * samples + m^2 * candidates)] with [candidates] the usually
     tiny per-batch gain-candidate list, and run only when relocations
-    are exhausted.  The search ends after a pass that finds no
-    improving move. *)
+    are exhausted.  Each [samples] term carries a factor [d]: an
+    operator's load on a sample is recomputed from the point block as a
+    [d]-term dot wherever a kernel needs it.  The search ends after a
+    pass that finds no improving move.
+
+    Memory: [O(n * samples + samples * d)] for the scorer, independent
+    of [m] beyond the assignment itself. *)
 
 type outcome = {
   assignment : int array;
@@ -38,9 +43,9 @@ type outcome = {
 
 (** {1 Incremental scorer}
 
-    The shared-sample scoring state: per-operator load contributions on
-    the QMC sample, per-node accumulated loads, per-sample violation
-    counts and the running feasible total.  Exposed so equivalence
+    The shared-sample scoring state: the QMC point block, per-node
+    accumulated loads, per-sample violation counts and the running
+    feasible total.  Exposed so equivalence
     tests (and future replanners) can drive the primitives directly. *)
 
 type scorer
@@ -51,9 +56,21 @@ val make_scorer :
     given starting assignment.  The array is {e shared}, not copied:
     the scorer reads it to resolve an operator's current node, so a
     caller applying {!move} must update the same array accordingly
-    ({!improve} does).  The sample table is generated in one fused pass
-    (the QMC points are never materialized).  Defaults to the global
-    pool. *)
+    ({!improve} does).  One fused pass generates the [samples x d] QMC
+    point block, which the scorer keeps, and accumulates the node loads
+    from each operator's contribution on the fly; no per-operator
+    contribution table is built, and every kernel recomputes a
+    contribution (bit-identically) where it needs one.  Defaults to
+    the global pool. *)
+
+val copy : scorer -> int array -> scorer
+(** [copy scorer assignment] is an independent scorer in [scorer]'s
+    current state: node loads, violation counts and the feasible total
+    are copied, the QMC point block is shared.  Like {!make_scorer} it
+    reads [assignment], which must hold the same homes as the array
+    [scorer] reads (else [Invalid_argument]); moves applied to either
+    scorer leave the other untouched.  Costs [O(m + n * samples)],
+    against [O(m * samples * d)] for building a fresh scorer. *)
 
 val feasible : scorer -> int
 (** Number of feasible samples under the current state. *)

@@ -156,11 +156,27 @@ let replan ?pool ?(samples = 2048) ?rates ~budget ~cost_of problem ~assignment =
       rates
   in
   let margin_before = margin_of assignment in
-  (* One attempt from the original assignment; its own scorer and its
-     own working copy of the array (the scorer shares, not copies). *)
-  let attempt ~with_repair =
-    let working = Array.copy assignment in
-    let scorer = Local_search.make_scorer ?pool problem working samples in
+  (* The volume-only retry runs only from a plan already past its
+     boundary with budget to spend; it starts from the same state as the
+     first attempt, so it takes a copy of that scorer made before the
+     first attempt moves anything, instead of building a second one. *)
+  let retry_possible =
+    match margin_before with
+    | Some mb -> mb.Margin.margin < 0. && budget > 0
+    | None -> false
+  in
+  let working = Array.copy assignment in
+  let scorer = Local_search.make_scorer ?pool problem working samples in
+  let retry_start =
+    if retry_possible then
+      let working = Array.copy assignment in
+      Some (working, Local_search.copy scorer working)
+    else None
+  in
+  (* One attempt from the original assignment's state: a working copy
+     of the array and a scorer reading it (the scorer shares, not
+     copies), both updated by every applied move. *)
+  let attempt ~with_repair (working, scorer) =
     let feas_before = Local_search.feasible scorer in
     let left, repair_moves =
       match rates with
@@ -201,18 +217,18 @@ let replan ?pool ?(samples = 2048) ?rates ~budget ~cost_of problem ~assignment =
         }
     else None
   in
-  let first = attempt ~with_repair:true in
+  let first = attempt ~with_repair:true (working, scorer) in
   match gated first with
   | Some outcome -> outcome
   | None -> (
     (* The repair phase may trade volume for margin past the gate; a
        volume-only retry can only grow the ratio. *)
     let retry =
-      match margin_before with
-      | Some mb when mb.Margin.margin < 0. && budget > 0 ->
-        let ((_, moves, _, _, _) as a) = attempt ~with_repair:false in
+      match retry_start with
+      | Some start ->
+        let ((_, moves, _, _, _) as a) = attempt ~with_repair:false start in
         if moves = [] then None else gated a
-      | _ -> None
+      | None -> None
     in
     match retry with
     | Some outcome -> outcome

@@ -62,7 +62,18 @@ let sample_ideal_into ~l ~c_total ?lower ~cube_point ~scratch dst =
   if slack < 0. then
     invalid_arg "Simplex.to_ideal: lower bound is infeasible";
   if scratch != cube_point then Array.blit cube_point 0 scratch 0 d;
-  Array.sort Float.compare scratch;
+  (* Insertion sort by [Float.compare]: [d] is at most a few dozen, and
+     [Array.sort] would box two floats per comparison. *)
+  let j = ref 0 in
+  for k = 1 to d - 1 do
+    let x = scratch.(k) in
+    j := k - 1;
+    while !j >= 0 && Float.compare scratch.(!j) x > 0 do
+      scratch.(!j + 1) <- scratch.(!j);
+      decr j
+    done;
+    scratch.(!j + 1) <- x
+  done;
   (* Descending, so [dst] may alias [scratch]: step [k] reads
      [scratch.(k)] and [scratch.(k - 1)], both still unwritten. *)
   for k = d - 1 downto 0 do

@@ -414,7 +414,8 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
     | Deliver item -> deliver now item
     | Complete (node_idx, _item, _outcome) when dead.(node_idx) ->
       (* The node died while this item was in service: the work (and
-         its outputs) perish with it. *)
+         its outputs) perish with it, so it leaves the backlog too. *)
+      nodes.(node_idx).current <- None;
       if measured now then incr lost_count
     | Complete (node_idx, item, outcome) ->
       nodes.(node_idx).current <- None;

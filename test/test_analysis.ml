@@ -49,6 +49,17 @@ let test_dimension_mismatch () =
   Alcotest.(check bool) "dimension-mismatch" true
     (has_code "dimension-mismatch" report)
 
+(* One operator loading every variable equally: d = max_dim passes,
+   one more is refused. *)
+let test_too_many_variables () =
+  let wide d = check [| Array.make d 0.01 |] [ 1. ] in
+  let limit = Feasible.Halton.max_dim in
+  Alcotest.(check bool) "max_dim accepted" true (Plan_check.ok (wide limit));
+  let report = wide (limit + 1) in
+  Alcotest.(check bool) "rejected" false (Plan_check.ok report);
+  Alcotest.(check bool) "too-many-variables" true
+    (has_code "too-many-variables" report)
+
 let test_empty_plan () =
   let report =
     Plan_check.check_matrix ~lo:(Mat.zeros 0 2) ~caps:(Vec.of_list [ 1. ]) ()
@@ -391,6 +402,7 @@ let suite =
     Alcotest.test_case "clean plan: zero diagnostics" `Quick test_clean_plan;
     Alcotest.test_case "bad capacity" `Quick test_bad_capacity;
     Alcotest.test_case "dimension mismatch" `Quick test_dimension_mismatch;
+    Alcotest.test_case "too many variables" `Quick test_too_many_variables;
     Alcotest.test_case "empty plan" `Quick test_empty_plan;
     Alcotest.test_case "nan coefficient" `Quick test_nan_coefficient;
     Alcotest.test_case "negative coefficient" `Quick test_negative_coefficient;

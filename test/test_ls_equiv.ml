@@ -179,6 +179,117 @@ let prop_fused_matches_gain =
               !ok))
         [ 1; 4 ])
 
+(* --- mid-size golden, recorded before the scorer dropped its
+   per-operator contribution table ------------------------------------
+
+   The equivalence checks above compare two drivers on one shared
+   scorer, so a change in the contribution values themselves would pass
+   them.  This golden pins absolute outcomes on a 2,000-operator,
+   64-node instance at 2,048 samples: the polish, and a 3-point budgeted
+   replan chain whose last point lies past the headroom, so the margin
+   repair runs, its attempt is rejected and the volume-only retry is the
+   one accepted. *)
+
+let digest a =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (Array.to_list (Array.map string_of_int a))))
+
+let golden_problem () =
+  let rng = Random.State.make [| 7 |] in
+  let graph =
+    Query.Randgraph.generate_trees ~rng ~n_inputs:4 ~ops_per_tree:500
+  in
+  ( graph,
+    Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:64 ~cap:1.) )
+
+let golden_improve =
+  "aece542860182c53b058ca87286d9e71 moves=46 passes=5 ratio=0x1.e54p-1"
+
+(* (heavy stream, share of the headroom along its direction) per step. *)
+let golden_chain_points = [ (0, 0.9); (2, 0.85); (1, 1.02) ]
+
+let golden_chain =
+  [
+    "b1281e58a03b5b978687daa69339d914 moves=3 before=0x1.c34p-1 \
+     after=0x1.d8cp-1 accepted=true";
+    "416e4187f1722b26d15bec90e5d3b885 moves=3 before=0x1.d8cp-1 \
+     after=0x1.dep-1 accepted=true";
+    "653dc12bc825a01cb19465bcded66560 moves=3 before=0x1.dep-1 \
+     after=0x1.e1p-1 accepted=true";
+  ]
+
+let test_golden_midsize () =
+  let graph, problem = golden_problem () in
+  let start = Rod.Rod_algorithm.place problem in
+  let cost_of = Dynamic.Statesize.graph_cost graph in
+  List.iter
+    (fun ways ->
+      with_pool ways (fun pool ->
+          let o = LS.improve ~pool ~samples:2048 problem start in
+          Alcotest.(check string)
+            (Printf.sprintf "improve ways=%d" ways)
+            golden_improve
+            (Printf.sprintf "%s moves=%d passes=%d ratio=%h"
+               (digest o.LS.assignment) o.LS.moves o.LS.passes o.LS.ratio);
+          let assignment = ref start in
+          let steps =
+            List.map
+              (fun (heavy, share) ->
+                let direction =
+                  Vec.init 4 (fun k -> if k = heavy then 3. else 1.)
+                in
+                let h =
+                  (Dynamic.Margin.of_assignment problem ~assignment:!assignment
+                     ~rates:direction)
+                    .Dynamic.Margin.headroom
+                in
+                let r =
+                  Dynamic.Replanner.replan ~pool ~samples:2048 ~budget:3
+                    ~cost_of
+                    ~rates:(Vec.scale (share *. h) direction)
+                    problem ~assignment:!assignment
+                in
+                assignment := r.Dynamic.Replanner.assignment;
+                Printf.sprintf "%s moves=%d before=%h after=%h accepted=%b"
+                  (digest r.Dynamic.Replanner.assignment)
+                  (List.length r.Dynamic.Replanner.moves)
+                  r.Dynamic.Replanner.ratio_before
+                  r.Dynamic.Replanner.ratio_after r.Dynamic.Replanner.accepted)
+              golden_chain_points
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "replan chain ways=%d" ways)
+            golden_chain steps))
+    [ 1; 2; 4 ]
+
+(* The scorer's footprint is O(n * samples + samples * d): building one
+   for ten times the operators, at the same nodes, dimension and sample
+   count, allocates no more words.  The slack of one sample row absorbs
+   allocator bookkeeping; a per-operator table would add 540 rows. *)
+let test_scorer_alloc_flat_in_m () =
+  let samples = 1024 in
+  let words ~ops_per_tree =
+    let rng = Random.State.make [| 11 |] in
+    let graph = Query.Randgraph.generate_trees ~rng ~n_inputs:3 ~ops_per_tree in
+    let problem =
+      Problem.of_graph graph ~caps:(Problem.homogeneous_caps ~n:8 ~cap:1.)
+    in
+    let assignment = Rod.Rod_algorithm.place problem in
+    with_pool 1 (fun pool ->
+        let minor0, promoted0, major0 = Gc.counters () in
+        ignore (LS.make_scorer ~pool problem assignment samples);
+        let minor1, promoted1, major1 = Gc.counters () in
+        minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  in
+  (* The first build also pays one-time lazy initialization. *)
+  ignore (words ~ops_per_tree:20);
+  let small = words ~ops_per_tree:20 in
+  let large = words ~ops_per_tree:200 in
+  if large -. small > float_of_int samples then
+    Alcotest.failf "make_scorer allocated %.0f words at m=600 vs %.0f at m=60"
+      large small
+
 let suite =
   [
     Alcotest.test_case "old = new: random starts (1/2/4)" `Quick
@@ -187,6 +298,10 @@ let suite =
       test_equiv_rod_start;
     Alcotest.test_case "old = new: degenerate shapes (1/2/4)" `Quick
       test_equiv_degenerate;
+    Alcotest.test_case "mid-size golden: improve + replan chain (1/2/4)"
+      `Quick test_golden_midsize;
+    Alcotest.test_case "make_scorer allocation flat in m" `Quick
+      test_scorer_alloc_flat_in_m;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

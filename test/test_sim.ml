@@ -362,6 +362,22 @@ let fingerprint name m =
     (Samples.percentile m.latencies 50.)
     (Samples.percentile m.latencies 99.)
 
+(* One arrival served for 0.5 s on node 0, which crashes at 0.25 s with
+   recovery to node 1: the item in service is lost with the node, and
+   not also left in the final backlog. *)
+let crash_in_service () =
+  let open Query in
+  let graph =
+    Graph.create ~n_inputs:1
+      ~ops:[ (Op.map ~cost:0.5 (), [ Graph.Sys_input 0 ]) ]
+      ()
+  in
+  let crash = Dsim.Fault.Crash { node = 0; at = 0.25; recovery = [| 1 |] } in
+  Engine.run ~graph ~assignment:[| 0 |] ~caps:(Vec.of_list [ 1.; 1. ])
+    ~arrivals:[| [ 0. ] |]
+    ~config:{ Engine.default_config with warmup = 0.; faults = [ crash ] }
+    ~until:1. ()
+
 let golden_fingerprints () =
   let base = { Engine.default_config with seed = 5; warmup = 1. } in
   let crash =
@@ -391,6 +407,7 @@ let golden_fingerprints () =
     fingerprint "dynamic" (golden_run ~dynamic base);
     fingerprint "dynamic+crash"
       (golden_run ~dynamic { base with faults = [ crash ] });
+    fingerprint "crash-in-service" (crash_in_service ());
   ]
 
 (* Any change to backlog accounting, reader order or event tie-breaks
@@ -401,14 +418,16 @@ let golden_expected =
      lost=0 migrations=0 p50=0x1.253e4e7759cap+0 p99=0x1.6a4ca1e47f81ap+1";
     "shed items=7488 outputs=3355 backlog=4 max_backlog=10 dropped=2965 \
      lost=0 migrations=0 p50=0x1.673115d23cp-7 p99=0x1.f0f36a78357b3p-6";
-    "crash items=7120 outputs=3155 backlog=1907 max_backlog=1908 dropped=0 \
+    "crash items=7120 outputs=3155 backlog=1906 max_backlog=1908 dropped=0 \
      lost=496 migrations=0 p50=0x1.172150204cb3p-1 p99=0x1.479baefef7f35p+1";
     "dynamic items=8553 outputs=3918 backlog=2037 max_backlog=2115 \
      dropped=0 lost=0 migrations=32 p50=0x1.1cf04db3e965cp-1 \
      p99=0x1.a404d01b2475ap+1";
-    "dynamic+crash items=5468 outputs=2236 backlog=3680 max_backlog=3678 \
+    "dynamic+crash items=5468 outputs=2236 backlog=3679 max_backlog=3678 \
      dropped=0 lost=54 migrations=32 p50=0x1.5d4482d55a9d8p-2 \
      p99=0x1.6b4b4c728e03ap+0";
+    "crash-in-service items=0 outputs=0 backlog=0 max_backlog=0 dropped=0 \
+     lost=1 migrations=0 p50=0x0p+0 p99=0x0p+0";
   ]
 
 let test_engine_golden () =
