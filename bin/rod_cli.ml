@@ -38,6 +38,11 @@ let positive_float =
     ~ok:(fun x -> Float.is_finite x && x > 0.)
     ~expect:"a finite number > 0"
 
+let nonnegative_float =
+  checked Arg.float
+    ~ok:(fun x -> Float.is_finite x && x >= 0.)
+    ~expect:"a finite number >= 0"
+
 (* --- shared graph selection --- *)
 
 type graph_kind =
@@ -415,14 +420,23 @@ let controller_summary ctl =
 let simulate_term =
   let load_arg =
     Arg.(
-      value & opt float 0.7
+      value & opt positive_float 0.7
       & info [ "load" ] ~docv:"PHI"
           ~doc:"Mean demand as a fraction of the ideal boundary.")
   in
+  (* The trace has 2^ceil(log2 T) one-second intervals, so 2^24 bounds
+     the allocation as trace's --levels does; the first second is
+     warm-up. *)
+  let duration =
+    checked Arg.float
+      ~ok:(fun t -> t > 1. && t <= 16777216.)
+      ~expect:"a number of seconds in (1, 16777216]"
+  in
   let duration_arg =
     Arg.(
-      value & opt float 64.
-      & info [ "duration" ] ~docv:"T" ~doc:"Simulated seconds.")
+      value & opt duration 64.
+      & info [ "duration" ] ~docv:"T"
+          ~doc:"Simulated seconds, 1 < T <= 2^24 (the first is warm-up).")
   in
   let controller_arg =
     Arg.(
@@ -521,7 +535,7 @@ let sim_cmd =
 let cluster_cmd =
   let xfer_arg =
     Arg.(
-      value & opt float 1e-3
+      value & opt nonnegative_float 1e-3
       & info [ "xfer" ] ~docv:"COST"
           ~doc:"Per-tuple network transfer cost in CPU seconds.")
   in
@@ -638,7 +652,7 @@ let failure_cmd =
 
 let profile_rate_arg =
   Arg.(
-    value & opt float 150.
+    value & opt positive_float 150.
     & info [ "profile-rate" ] ~docv:"TPS"
         ~doc:"Synthetic tuple rate per input used when profiling a query file.")
 

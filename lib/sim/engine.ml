@@ -176,19 +176,10 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
   let pending = Array.make m (-1) in (* rodproto: role pending *)
   let op_cpu_window = Array.make m 0. in
   let last_busy = Array.make n 0. in
-  (* Per-stream arrival cursors for the controller's rate gauges, built
-     only when a dynamic controller is attached. *)
-  let arr_sorted =
-    match dynamic with
-    | None -> [||]
-    | Some _ ->
-      Array.map
-        (fun times ->
-          let a = Array.of_list times in
-          Array.sort Float.compare a;
-          a)
-        arrivals
-  in
+  (* Source arrivals wait in the merge, not in the event heap. *)
+  let sources = Source_merge.create ~ts:Fun.id ~until arrivals in
+  (* Per-stream cursors over the merge's sorted arrivals for the
+     controller's rate gauges. *)
   let rate_cursor = Array.make d 0 in
   let input_rate_gauges =
     match dynamic with
@@ -222,27 +213,22 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
   let arrivals_count = ref 0 in
   let items_processed = ref 0 in
   let outputs_count = ref 0 in
-  (* Invariant: [queued] is the summed length of every node queue and
-     every migration buffer, kept at each transition. *)
+  (* Invariants: [queued] is the summed length of every node queue and
+     every migration buffer, and [in_service] the number of nodes with
+     an item in service, both kept at each transition. *)
   let queued = ref 0 in
+  let in_service = ref 0 in
   let max_backlog = ref 0 in
   let measured t = t >= config.warmup && t <= until in
-  (* Source tuples: deliver to every consumer of each input stream. *)
+  (* Reader deliveries of the arrivals still in the merge: with the
+     heap's length, the event-queue depth a preloaded heap would show. *)
+  let src_pending = ref 0 in
   Array.iteri
     (fun k times ->
-      let readers = input_readers.(k) in
-      List.iter
-        (fun t ->
-          if t <= until then begin
-            if measured t then incr arrivals_count;
-            List.iter
-              (fun (op, input_idx) ->
-                Event_queue.push events ~time:t
-                  (Deliver { op; input_idx; origin = t }))
-              readers
-          end)
-        times)
-    arrivals;
+      Array.iter (fun t -> if measured t then incr arrivals_count) times;
+      src_pending :=
+        !src_pending + (Array.length times * List.length input_readers.(k)))
+    (Source_merge.times sources);
   (* Service of one item: CPU seconds and the number of output tuples
      (both decided when service begins). *)
   let service now item =
@@ -298,6 +284,7 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
       if hi > lo then node.busy_time <- node.busy_time +. (hi -. lo);
       node.busy_accum <- node.busy_accum +. wall;
       node.current <- Some item;
+      incr in_service;
       Event_queue.push events ~time:finish (Complete (node_idx, item, outcome))
   in
   (* Route to the operator's current node (re-routing in-flight tuples
@@ -323,7 +310,8 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
         incr queued;
         if node.current = None then start_service node_idx now
     end;
-    if !queued > !max_backlog then max_backlog := !queued
+    let backlog = !queued + !in_service in
+    if backlog > !max_backlog then max_backlog := backlog
   in
   let emit now item count =
     match op_readers.(item.op) with
@@ -398,7 +386,7 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
             let r = float_of_int count /. dc.interval in
             Obs.Gauge.set input_rate_gauges.(k) r;
             r)
-          arr_sorted
+          (Source_merge.times sources)
       in
       let decisions =
         dc.decide ~time:now ~utilization ~op_cpu:(Array.copy op_cpu_window)
@@ -416,9 +404,11 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
       (* The node died while this item was in service: the work (and
          its outputs) perish with it, so it leaves the backlog too. *)
       nodes.(node_idx).current <- None;
+      decr in_service;
       if measured now then incr lost_count
     | Complete (node_idx, item, outcome) ->
       nodes.(node_idx).current <- None;
+      decr in_service;
       op_cpu_window.(item.op) <- op_cpu_window.(item.op) +. outcome.cpu;
       if measured now then begin
         incr items_processed;
@@ -496,19 +486,42 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
       if at <= until then
         Event_queue.push events ~time:at (Crash_fault (node, recovery)))
     (Fault.crashes config.faults);
+  (* One event per reader delivery of a source arrival, in reader
+     order, back to back. *)
+  let rec feed t = function
+    | [] -> ()
+    | (op, input_idx) :: rest ->
+      incr obs_event_count;
+      decr src_pending;
+      deliver t { op; input_idx; origin = t };
+      feed t rest
+  in
+  (* A source arrival goes first on a tie: a preloaded heap gave every
+     arrival a lower sequence number than any other event. *)
   let rec loop () =
-    match Event_queue.peek_time events with
-    | Some t when t <= until -> (
+    let top = Event_queue.min_time events in
+    if Source_merge.precedes sources top then begin
+      let t = Source_merge.head_time sources in
+      let readers = input_readers.(Source_merge.head_stream sources) in
+      Source_merge.advance sources;
+      feed t readers;
+      loop ()
+    end
+    else if top <= until then
       match Event_queue.pop events with
       | Some (time, event) ->
         incr obs_event_count;
         handle time event;
-        Obs.Gauge.set obs_queue_depth (float_of_int (Event_queue.length events));
         loop ()
-      | None -> ())
-    | Some _ | None -> ()
+      | None -> ()
   in
   loop ();
+  (* The depth a heap preloaded with every source delivery would hold
+     after the last event.  Only a gauge's last value is observable, so
+     it is set once. *)
+  if !obs_event_count > 0 then
+    Obs.Gauge.set obs_queue_depth
+      (float_of_int (Event_queue.length events + !src_pending));
   Obs.Counter.incr obs_runs;
   Obs.Counter.add obs_events !obs_event_count;
   Obs.Counter.add obs_migrations !migrations_count;
@@ -521,11 +534,7 @@ let run ~graph ~assignment ~caps ~arrivals ?(config = default_config) ?dynamic
         ("events", string_of_int !obs_event_count);
       ]
     ~ts:0. ~dur:until "sim.run";
-  let backlog =
-    Array.fold_left
-      (fun acc node -> if node.current <> None then acc + 1 else acc)
-      !queued nodes
-  in
+  let backlog = !queued + !in_service in
   let span = until -. config.warmup in
   {
     Sim_metrics.duration = span;

@@ -102,6 +102,8 @@ val run :
   Sim_metrics.t
 (* rodunits: until:sim-sec -> _ *)
 (** Simulate the placed graph fed by per-input-stream arrival timestamp
-    lists (ascending, as produced by {!Workload.Generators}), up to
-    absolute time [until].  Work still queued at [until] is reported as
-    backlog. *)
+    lists (as produced by {!Workload.Generators}; an unsorted list is
+    stably sorted), up to absolute time [until].  Arrivals are merged
+    in {!Source_merge}'s order: by time, then stream index, and before
+    any other event at the same time.  Work still queued, buffered or
+    in service at [until] is reported as backlog. *)

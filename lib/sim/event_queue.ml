@@ -57,7 +57,10 @@ let push q ~time payload =
   let entry = { time; seq = q.next_seq; payload } in
   q.next_seq <- q.next_seq + 1;
   if q.size = 0 then begin
-    q.heap <- Array.make (max 16 (Array.length q.heap)) entry;
+    (* Refill from empty: the drained array is reused, so a queue that
+       empties and fills again allocates only its entries. *)
+    if Array.length q.heap = 0 then q.heap <- Array.make 16 entry
+    else q.heap.(0) <- entry;
     q.size <- 1
   end
   else begin
@@ -79,4 +82,4 @@ let pop q =
     Some (top.time, top.payload)
   end
 
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
+let min_time q = if q.size = 0 then infinity else q.heap.(0).time

@@ -2,7 +2,14 @@
 
     Events with equal timestamps are dequeued in insertion order
     (a monotone sequence number breaks ties), which keeps simulation
-    runs fully deterministic. *)
+    runs fully deterministic.
+
+    The engines keep only run-time events here (service completions,
+    hops, ticks, faults, migration steps); source arrivals wait in a
+    {!Source_merge} and are interleaved by comparing its head time with
+    {!min_time}.  The backing array grows by doubling and is kept when
+    the queue drains, so a queue that empties and fills again allocates
+    only its entries. *)
 
 type 'a t
 
@@ -17,4 +24,6 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Earliest event, or [None] when empty. *)
 
-val peek_time : 'a t -> float option
+val min_time : 'a t -> float
+(** Time of the earliest event, or [infinity] when empty: a plain float,
+    so an event loop can compare it without an option per step. *)

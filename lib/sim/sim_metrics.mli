@@ -21,8 +21,12 @@ type t = {
   arrivals : int;  (** Source tuples injected (after warm-up). *)
   items_processed : int;  (** Work items completed (after warm-up). *)
   outputs : int;  (** Tuples emitted by sink operators. *)
-  backlog : int;  (** Work items still queued at the end. *)
-  max_backlog : int;  (** Peak total queued items. *)
+  backlog : int;
+      (** Work items still queued, buffered or in service at the end. *)
+  max_backlog : int;
+      (** Peak of the [backlog] quantity over the run (queued, buffered
+          and in-service items, sampled at each delivery), so never
+          below the final [backlog]. *)
   op_stats : op_stat array;  (** Index-aligned with the graph's operators. *)
   migrations : int;  (** Operator migrations started (dynamic runs). *)
   dropped : int;  (** Tuples shed at full queues (when shedding is on). *)

@@ -5,6 +5,7 @@
 module Vec = Linalg.Vec
 module Graph = Query.Graph
 module Event_queue = Dsim.Event_queue
+module Source_merge = Dsim.Source_merge
 module Samples = Obs.Samples
 
 let obs_runs = Obs.counter ~help:"SPE distributed runs" "rod_spe_runs_total"
@@ -126,23 +127,11 @@ let run ~network ~assignment ~caps ~cost ~inputs ?(config = default_config)
   let migrations_count = ref 0 in
   let measured t = t >= config.warmup && t <= until in
   let input_readers, op_readers = Network.readers network in
-  (* Source tuples arrive at their timestamps. *)
-  Array.iteri
-    (fun k tuples ->
-      let readers = input_readers.(k) in
-      List.iter
-        (fun tuple ->
-          let ts = Tuple.ts tuple in
-          if ts <= until then begin
-            if measured ts then incr arrivals;
-            List.iter
-              (fun (op, input_idx) ->
-                Event_queue.push events ~time:ts
-                  (Deliver { op; input_idx; tuple; origin = ts }))
-              readers
-          end)
-        tuples)
-    inputs;
+  (* Source tuples wait in the merge, not in the event heap. *)
+  let sources = Source_merge.create ~ts:Tuple.ts ~until inputs in
+  Array.iter
+    (Array.iter (fun ts -> if measured ts then incr arrivals))
+    (Source_merge.times sources);
   let service item =
     let sop = Network.op network item.op in
     let stat = stats.(item.op) in
@@ -309,15 +298,29 @@ let run ~network ~assignment ~caps ~cost ~inputs ?(config = default_config)
     (fun (at, moves) ->
       if at <= until then Event_queue.push events ~time:at (Migrate moves))
     migrations;
+  let rec feed ts tuple = function
+    | [] -> ()
+    | (op, input_idx) :: rest ->
+      deliver ts { op; input_idx; tuple; origin = ts };
+      feed ts tuple rest
+  in
+  (* A source arrival goes first on a tie, as in [Dsim.Engine]. *)
   let rec loop () =
-    match Event_queue.peek_time events with
-    | Some t when t <= until -> (
+    let top = Event_queue.min_time events in
+    if Source_merge.precedes sources top then begin
+      let ts = Source_merge.head_time sources in
+      let tuple = Source_merge.head sources in
+      let readers = input_readers.(Source_merge.head_stream sources) in
+      Source_merge.advance sources;
+      feed ts tuple readers;
+      loop ()
+    end
+    else if top <= until then
       match Event_queue.pop events with
       | Some (time, event) ->
         handle time event;
         loop ()
-      | None -> ())
-    | Some _ | None -> ()
+      | None -> ()
   in
   loop ();
   let backlog =

@@ -80,8 +80,10 @@ val run :
   until:float ->
   unit ->
   result
-(** Tuples arrive at their own timestamps (ascending per stream).
-    [cost op input_idx] is CPU seconds per tuple (per candidate pair
+(** Tuples arrive at their own timestamps, merged across streams in
+    {!Dsim.Source_merge}'s order: by timestamp (an unsorted stream is
+    stably sorted), then stream index, and before any other event at
+    the same time.  [cost op input_idx] is CPU seconds per tuple (per candidate pair
     for joins).  Open aggregate windows at [until] are counted as
     backlog state, not flushed.
 

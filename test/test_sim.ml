@@ -53,6 +53,110 @@ let test_event_queue_many () =
   Alcotest.(check bool) "nondecreasing" true !sorted;
   Alcotest.(check int) "all popped" 1000 !count
 
+(* Draining to empty and filling again keeps (time, insertion) order
+   and [min_time] across the cycles. *)
+let test_event_queue_refill () =
+  let q = Event_queue.create () in
+  Alcotest.(check (float 0.)) "empty min_time" infinity
+    (Event_queue.min_time q);
+  let drain () =
+    let rec go acc =
+      match Event_queue.pop q with
+      | Some (_, x) -> go (x :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  in
+  for cycle = 0 to 3 do
+    let base = float_of_int cycle in
+    List.iter
+      (fun (dt, x) -> Event_queue.push q ~time:(base +. dt) x)
+      [ (0.5, "c"); (0.25, "a"); (0.5, "d"); (0.25, "b"); (0.75, "e") ];
+    Alcotest.(check (float 0.)) "min_time" (base +. 0.25)
+      (Event_queue.min_time q);
+    Alcotest.(check (list string))
+      (Printf.sprintf "cycle %d order" cycle)
+      [ "a"; "b"; "c"; "d"; "e" ] (drain ());
+    Alcotest.(check (float 0.)) "drained min_time" infinity
+      (Event_queue.min_time q)
+  done
+
+(* Refilling a drained queue reuses its array: one push costs a few
+   words, not a fresh capacity-sized array. *)
+let test_event_queue_refill_allocation () =
+  let q = Event_queue.create () in
+  for i = 0 to 99_999 do
+    Event_queue.push q ~time:(float_of_int i) i
+  done;
+  while Event_queue.pop q <> None do
+    ()
+  done;
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  Event_queue.push q ~time:1. 0;
+  let used = words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "push after drain allocated %.0f words" used)
+    true (used < 64.)
+
+(* --- source merge --------------------------------------------------- *)
+
+module Source_merge = Dsim.Source_merge
+
+let drain_merge m =
+  let rec go acc =
+    if Source_merge.is_empty m then List.rev acc
+    else begin
+      let entry =
+        ( Source_merge.head_stream m,
+          Source_merge.head_time m,
+          Source_merge.head m )
+      in
+      Source_merge.advance m;
+      go (entry :: acc)
+    end
+  in
+  go []
+
+(* The order a heap preloaded stream by stream, in list order, pops:
+   time, then stream index, then list position. *)
+let test_source_merge_order () =
+  let streams =
+    [|
+      [ (2., "a2"); (1., "a1"); (2., "a2'"); (9., "late") ];
+      [ (1., "b1"); (1., "b1'"); (0.5, "b0") ];
+      [];
+      [ (2., "d2"); (nan, "nan") ];
+    |]
+  in
+  let m = Source_merge.create ~ts:fst ~until:5. streams in
+  Alcotest.(check (list (pair int string)))
+    "time, then stream, then list order"
+    [
+      (1, "b0"); (0, "a1"); (1, "b1"); (1, "b1'"); (0, "a2"); (0, "a2'");
+      (3, "d2");
+    ]
+    (List.map (fun (k, _, (_, tag)) -> (k, tag)) (drain_merge m));
+  Alcotest.(check (float 0.)) "exhausted head" infinity
+    (Source_merge.head_time m);
+  Alcotest.(check (list (list (float 0.))))
+    "kept times, sorted per stream"
+    [ [ 1.; 2.; 2. ]; [ 0.5; 1.; 1. ]; []; [ 2. ] ]
+    (Array.to_list (Array.map Array.to_list (Source_merge.times m)));
+  (* [until = infinity] keeps an item stamped [infinity], which still
+     gets its turn behind the finite ones. *)
+  let m =
+    Source_merge.create ~ts:Fun.id ~until:infinity [| [ infinity ]; [ 3. ] |]
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "infinite stamp" [ (1, 3.); (0, infinity) ]
+    (List.map (fun (k, t, _) -> (k, t)) (drain_merge m));
+  Alcotest.(check bool) "no streams" true
+    (Source_merge.is_empty (Source_merge.create ~ts:Fun.id ~until:1. [||]))
+
 (* One operator of cost c at rate r: utilization = c*r, latency = c at
    low load (deterministic arrivals never queue). *)
 let single_op_graph cost sel =
@@ -411,22 +515,24 @@ let golden_fingerprints () =
   ]
 
 (* Any change to backlog accounting, reader order or event tie-breaks
-   shows here. *)
+   shows here.  [max_backlog] is the peak of the same quantity as the
+   final [backlog] (queued, buffered and in service), so it is never
+   below it. *)
 let golden_expected =
   [
-    "plain items=8714 outputs=4073 backlog=1954 max_backlog=2008 dropped=0 \
+    "plain items=8714 outputs=4073 backlog=1954 max_backlog=2011 dropped=0 \
      lost=0 migrations=0 p50=0x1.253e4e7759cap+0 p99=0x1.6a4ca1e47f81ap+1";
-    "shed items=7488 outputs=3355 backlog=4 max_backlog=10 dropped=2965 \
+    "shed items=7488 outputs=3355 backlog=4 max_backlog=13 dropped=2965 \
      lost=0 migrations=0 p50=0x1.673115d23cp-7 p99=0x1.f0f36a78357b3p-6";
-    "crash items=7120 outputs=3155 backlog=1906 max_backlog=1908 dropped=0 \
+    "crash items=7120 outputs=3155 backlog=1906 max_backlog=1910 dropped=0 \
      lost=496 migrations=0 p50=0x1.172150204cb3p-1 p99=0x1.479baefef7f35p+1";
-    "dynamic items=8553 outputs=3918 backlog=2037 max_backlog=2115 \
+    "dynamic items=8553 outputs=3918 backlog=2037 max_backlog=2118 \
      dropped=0 lost=0 migrations=32 p50=0x1.1cf04db3e965cp-1 \
      p99=0x1.a404d01b2475ap+1";
-    "dynamic+crash items=5468 outputs=2236 backlog=3679 max_backlog=3678 \
+    "dynamic+crash items=5468 outputs=2236 backlog=3679 max_backlog=3679 \
      dropped=0 lost=54 migrations=32 p50=0x1.5d4482d55a9d8p-2 \
      p99=0x1.6b4b4c728e03ap+0";
-    "crash-in-service items=0 outputs=0 backlog=0 max_backlog=0 dropped=0 \
+    "crash-in-service items=0 outputs=0 backlog=0 max_backlog=1 dropped=0 \
      lost=1 migrations=0 p50=0x0p+0 p99=0x0p+0";
   ]
 
@@ -438,6 +544,10 @@ let suite =
   [
     Alcotest.test_case "event queue ordering" `Quick test_event_queue_ordering;
     Alcotest.test_case "event queue stress" `Quick test_event_queue_many;
+    Alcotest.test_case "event queue refill order" `Quick test_event_queue_refill;
+    Alcotest.test_case "event queue refill allocation" `Quick
+      test_event_queue_refill_allocation;
+    Alcotest.test_case "source merge order" `Quick test_source_merge_order;
     Alcotest.test_case "single-op utilization" `Quick test_single_op_utilization;
     Alcotest.test_case "capacity scales service" `Quick test_capacity_scales_service;
     Alcotest.test_case "selectivity thins output" `Quick test_selectivity_thins_output;

@@ -515,6 +515,154 @@ let test_dist_executor_join_pair_costing () =
     true
     (abs_float (result.Spe.Dist_executor.utilization.(0) -. 0.025) < 0.01)
 
+
+(* --- distributed executor golden ----------------------------------- *)
+
+(* Recorded before the executor's source arrivals left the event heap,
+   so it pins the heap's (time, insertion) order: six operators on
+   three nodes over two streams on a 5 ms grid, so timestamps tie
+   within and across streams; stream 1's list is out of order; an
+   order-sensitive distinct reads a union that takes both streams in
+   reverse index order; and the crash and the migrations land on an
+   arrival's exact timestamp. *)
+let golden_network () =
+  Network.create ~n_inputs:2
+    ~ops:
+      [
+        ( Sop.filter ~name:"dear" (fun t -> Tuple.number t "price" > 30.),
+          [ Graph.Sys_input 0 ] );
+        ( Sop.equi_join ~window:0.1 ~left_key:"symbol" ~right_key:"symbol" (),
+          [ Graph.Sys_input 0; Graph.Sys_input 1 ] );
+        ( Sop.aggregate ~window:0.5 ~group_by:"symbol" [ ("n", Sop.Count) ],
+          [ Graph.Op_output 0 ] );
+        (Sop.union ~arity:2 (), [ Graph.Sys_input 1; Graph.Sys_input 0 ]);
+        (Sop.distinct ~window:0.05 ~key:"symbol" (), [ Graph.Op_output 3 ]);
+        (Sop.project [ "symbol" ], [ Graph.Op_output 1 ]);
+      ]
+    ()
+
+let golden_inputs () =
+  let rng = Random.State.make [| 23 |] in
+  let symbols = [| "A"; "B"; "C"; "D" |] in
+  let stream ~rate ~n =
+    let t = ref 0. in
+    List.init n (fun _ ->
+        t := !t +. (-.log (1. -. Random.State.float rng 1.) /. rate);
+        let ts = 0.005 *. Float.round (!t /. 0.005) in
+        Tuple.make ~ts
+          [
+            ("symbol", Value.Str symbols.(Random.State.int rng 4));
+            ("price", Value.Float (Random.State.float rng 60.));
+          ])
+  in
+  let s0 = stream ~rate:160. ~n:900 in
+  (* Reverse every block of four: the list is no longer time-ordered. *)
+  let s1 =
+    List.mapi (fun i t -> (i, t)) (stream ~rate:120. ~n:700)
+    |> List.sort (fun (i, _) (j, _) -> compare (i / 4, -i) (j / 4, -j))
+    |> List.map snd
+  in
+  [| s0; s1 |]
+
+let golden_dist_run ?(faults = Dsim.Fault.none) ?(migrations = []) inputs =
+  let costs = [| 0.0015; 0.00005; 0.002; 0.001; 0.0018; 0.0003 |] in
+  Spe.Dist_executor.run ~network:(golden_network ())
+    ~assignment:[| 0; 1; 2; 2; 0; 1 |]
+    ~caps:(Linalg.Vec.of_list [ 1.; 1.; 0.8 ])
+    ~cost:(fun op _ -> costs.(op))
+    ~inputs
+    ~config:{ Spe.Dist_executor.default_config with warmup = 0.5; faults }
+    ~migrations ~until:5. ()
+
+let dist_fingerprint name r =
+  let open Spe.Dist_executor in
+  let outputs = Buffer.create 4096 in
+  List.iter
+    (fun (op, t) ->
+      Buffer.add_string outputs
+        (Format.asprintf "%d %h %a\n" op (Tuple.ts t) Tuple.pp t))
+    r.outputs;
+  let per_op =
+    Array.to_list r.op_stats
+    |> List.map (fun s ->
+           Printf.sprintf "%s/%d/%d"
+             (String.concat ","
+                (Array.to_list (Array.map string_of_int s.Executor.consumed)))
+             s.Executor.emitted s.Executor.pairs)
+  in
+  Printf.sprintf
+    "%s arrivals=%d outputs=%d digest=%s backlog=%d lost=%d migrations=%d \
+     ops=%s p50=%h p99=%h"
+    name r.arrivals (List.length r.outputs)
+    (Digest.to_hex (Digest.string (Buffer.contents outputs)))
+    r.backlog r.lost r.migrations (String.concat " " per_op)
+    (Obs.Samples.percentile r.latencies 50.)
+    (Obs.Samples.percentile r.latencies 99.)
+
+let golden_dist_fingerprints () =
+  let inputs = golden_inputs () in
+  (* Exact arrival timestamps: stream 0's tuple at index 400, and
+     stream 1's first tuples at or past 1.5 s and 3.2 s. *)
+  let ts_at k i = Tuple.ts (List.nth inputs.(k) i) in
+  let first_after k t =
+    List.fold_left
+      (fun acc tu ->
+        let ts = Tuple.ts tu in
+        if ts >= t && ts < acc then ts else acc)
+      infinity inputs.(k)
+  in
+  let crash =
+    Dsim.Fault.Crash
+      { node = 0; at = ts_at 0 400; recovery = [| 1; 1; 2; 2; 2; 1 |] }
+  in
+  let migrations =
+    [
+      (first_after 1 1.5, [ (3, 0); (1, 2) ]);
+      (first_after 1 3.2, [ (3, 1); (0, 2); (4, 1) ]);
+    ]
+  in
+  let slow =
+    [
+      Dsim.Fault.Slowdown { node = 0; from_ = 1.; until_ = 3.; factor = 0.5 };
+      Dsim.Fault.Jitter { from_ = 2.; until_ = 4.; extra = 0.004 };
+    ]
+  in
+  [
+    dist_fingerprint "plain" (golden_dist_run inputs);
+    dist_fingerprint "crash" (golden_dist_run ~faults:[ crash ] inputs);
+    dist_fingerprint "migrations" (golden_dist_run ~migrations inputs);
+    dist_fingerprint "slow+jitter" (golden_dist_run ~faults:slow inputs);
+  ]
+
+
+(* Any change to source order, tie-breaks or migration bookkeeping
+   shows here. *)
+let golden_dist_expected =
+  [
+    "plain arrivals=1290 outputs=2563 \
+     digest=812862916950a49ec4f960ac5a50edd8 backlog=0 lost=0 migrations=0 \
+     ops=827/438/0 827,613/2521/10201 438/36/0 613,827/1440/0 1439/315/0 \
+     2518/2518/0 p50=0x1.e4f765fd8cp-10 p99=0x1.b7b6bb1290136p-7";
+    "crash arrivals=1290 outputs=2528 \
+     digest=43e89bbc6fc6380862f3ca01d8431340 backlog=198 lost=3 migrations=0 \
+     ops=825/437/0 827,613/2521/10201 398/36/0 580,769/1349/0 1281/281/0 \
+     2518/2518/0 p50=0x1.7c1bda5119ep-9 p99=0x1.4be4cd7492e21p-2";
+    "migrations arrivals=1290 outputs=2356 \
+     digest=8851645159b10855f56c40eaac05f2f4 backlog=352 lost=0 migrations=5 \
+     ops=827/438/0 826,611/2515/10176 437/36/0 580,766/1346/0 1256/276/0 \
+     2350/2350/0 p50=0x1.0ebedfa437p-8 p99=0x1.68cd20afa2d9fp-1";
+    "slow+jitter arrivals=1290 outputs=2556 \
+     digest=bfdb8150c633cb6fb1abecb8fbdee92d backlog=57 lost=0 migrations=0 \
+     ops=805/424/0 827,613/2521/10201 424/36/0 613,827/1440/0 1404/308/0 \
+     2518/2518/0 p50=0x1.e4f765fd8b8p-10 p99=0x1.6a6b50b0f282p-1";
+  ]
+
+let test_dist_executor_golden () =
+  List.iter2
+    (fun expected actual ->
+      Alcotest.(check string) "fingerprint" expected actual)
+    golden_dist_expected (golden_dist_fingerprints ())
+
 let test_datagen () =
   let rng = Random.State.make [| 5 |] in
   let trace = Workload.Trace.create ~dt:1. (Array.make 10 50.) in
@@ -688,6 +836,7 @@ let suite =
       test_dist_executor_utilization;
     Alcotest.test_case "dist executor join costing" `Quick
       test_dist_executor_join_pair_costing;
+    Alcotest.test_case "dist executor golden" `Quick test_dist_executor_golden;
     Alcotest.test_case "datagen" `Quick test_datagen;
     Alcotest.test_case "datagen tracks trace rates" `Quick test_datagen_rates;
   ]
