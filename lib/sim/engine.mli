@@ -1,12 +1,12 @@
 (** A discrete-event simulator of a distributed stream-processing
     engine — the substrate standing in for the Borealis prototype.
 
-    Model (matching the paper's assumptions in §2.1):
-    - each node is a serial CPU of a given capacity; processing a tuple
-      whose operator cost is [w] CPU-seconds occupies the node for
-      [w / capacity] wall-seconds; work items queue FIFO per node;
-    - the interconnect has ample bandwidth; a tuple crossing nodes is
-      delayed by a fixed [net_delay] but never queues;
+    The timing model (serial CPUs with FIFO queues, hop delay, faults,
+    pause–drain–resume migration) is {!Kernel}'s, shared with the
+    semantic [Spe.Dist_executor].  This engine supplies the cost-model
+    operators (the paper's assumptions in §2.1):
+    - processing a tuple whose operator cost is [w] CPU-seconds
+      occupies its node for [w / capacity] wall-seconds;
     - linear operators emit output tuples according to their
       selectivity (Bernoulli draws, expectation = selectivity);
     - time-window joins keep real sliding windows of tuple timestamps:
@@ -34,13 +34,8 @@ type config = {
           overload alternative to placement that the paper's related
           work discusses.  [None] (default) = lossless queues. *)
   faults : Fault.schedule;
-      (** Injected faults (default none).  Crashes kill a node — its
-          queued and in-service work is lost, the assignment switches to
-          the event's recovery, and anything later routed to the dead
-          node is lost too.  Slowdowns scale a node's capacity inside
-          their window (sampled at service start); jitter adds to
-          [net_delay] for hops emitted inside its window.  A schedule is
-          pure data, so runs stay deterministic given [seed]. *)
+      (** Injected faults (default none), interpreted by {!Kernel}.  A
+          schedule is pure data, so runs stay deterministic. *)
 }
 
 val default_config : config
@@ -49,22 +44,10 @@ type dynamic_config = {
   interval : float; (* rodunits: sim-sec *)
       (** Controller wake-up period, seconds. *)
   migration_delay : float; (* rodunits: sim-sec *)
-      (** Base pause while an operator's state moves between nodes (the
-          paper reports "a few hundred milliseconds" base overhead in
-          Borealis); the operator processes nothing during the pause and
-          its input queues up. *)
+      (** {!Kernel.timing}'s [handoff_delay]. *)
   drain_delay : float; (* rodunits: sim-sec *)
-      (** Drain window between the pause and the handoff: the old node
-          keeps ownership while in-flight tuples settle into the
-          operator's buffer.  Ownership flips only when the window
-          closes — and only if the destination is still alive; a dead
-          destination aborts the migration and the operator resumes
-          wherever the (possibly recovery-remapped) assignment says. *)
   state_delay : int -> float;
-      (** Per-operator state-transfer seconds added to
-          [migration_delay] after the handoff (negative values are
-          clamped to [0]) — e.g. {!Statesize} in [rod.dynamic], so a
-          windowed join pauses longer than a stateless filter. *)
+      (** As in {!Kernel.timing}; e.g. {!Statesize} in [rod.dynamic]. *)
   decide :
     time:float ->
     utilization:float array ->
@@ -83,12 +66,9 @@ type dynamic_config = {
 }
 (** Optional dynamic load distribution running {e inside} the
     simulation — the reactive scheme the paper argues cannot keep up
-    with short-term bursts.  Each migration is a pause–drain–resume:
-    tuples addressed to a migrating operator buffer from the pause
-    until the resume, the drain window closes with a handoff flipping
-    ownership, the state transfer charges
-    [migration_delay + state_delay op], and the resume flushes the
-    buffer to the operator's current node. *)
+    with short-term bursts.  [decide] is the kernel's control hook;
+    each migration is the kernel's pause–drain–resume
+    ({!Kernel.migrate}). *)
 
 val run :
   graph:Query.Graph.t ->

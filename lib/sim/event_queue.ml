@@ -71,15 +71,13 @@ let push q ~time payload =
   end
 
 let pop q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    Some (top.time, top.payload)
-  end
+  if q.size = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let top = q.heap.(0) in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    q.heap.(0) <- q.heap.(q.size);
+    sift_down q 0
+  end;
+  top.payload
 
 let min_time q = if q.size = 0 then infinity else q.heap.(0).time

@@ -4,7 +4,7 @@
     (a monotone sequence number breaks ties), which keeps simulation
     runs fully deterministic.
 
-    The engines keep only run-time events here (service completions,
+    The {!Kernel} keeps only run-time events here (service completions,
     hops, ticks, faults, migration steps); source arrivals wait in a
     {!Source_merge} and are interleaved by comparing its head time with
     {!min_time}.  The backing array grows by doubling and is kept when
@@ -21,8 +21,10 @@ val length : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
 
-val pop : 'a t -> (float * 'a) option
-(** Earliest event, or [None] when empty. *)
+val pop : 'a t -> 'a
+(** Remove the earliest event and return its payload; read its time
+    with {!min_time} first.  Allocates nothing.
+    @raise Invalid_argument when empty. *)
 
 val min_time : 'a t -> float
 (** Time of the earliest event, or [infinity] when empty: a plain float,

@@ -1,8 +1,8 @@
 (** Source arrivals of a run, merged lazily across input streams.
 
-    Both executors ({!Engine} and [Spe.Dist_executor]) read their source
-    tuples from a merge instead of pushing every one into the
-    {!Event_queue} before the first event: each stream's items with
+    The {!Kernel} under both executors reads source tuples from a
+    merge instead of pushing every one into the {!Event_queue} before
+    the first event: each stream's items with
     timestamp [<= until] are stably sorted into an array, and the merge
     walks the arrays with one cursor each.  The event loop delivers the
     next arrival while it {!precedes} the heap's

@@ -1,6 +1,7 @@
 (** Distributed semantic execution: the {!Executor}'s real operator
-    semantics combined with the simulator's timing model (serial CPUs
-    per node, FIFO queues, fixed network hop delay).
+    semantics on {!Dsim.Kernel}'s timing model (serial CPUs per node,
+    FIFO queues, network hop delay, faults, pause–drain–resume
+    migration), the same kernel {!Dsim.Engine} runs on.
 
     Where {!Dsim.Engine} abstracts operators into costs and Bernoulli
     selectivity draws, this engine pushes {e actual tuples} through
@@ -18,28 +19,17 @@ type config = {
   net_delay : float;  (** One-way hop latency, seconds (default 1 ms). *)
   warmup : float;  (** Metrics ignore events before this time. *)
   faults : Dsim.Fault.schedule;
-      (** Injected faults (default none), interpreted exactly as by
-          {!Dsim.Engine}: crashes lose the dead node's queued and
-          in-service work and switch to the event's recovery assignment;
-          slowdowns scale capacity at service start; jitter widens
-          inter-node hops emitted inside its window. *)
+      (** Injected faults (default none), interpreted by
+          {!Dsim.Kernel} as in {!Dsim.Engine}. *)
 }
 
 val default_config : config
 
-type migration_timing = {
+(** The kernel's migration delays. *)
+type migration_timing = Dsim.Kernel.timing = {
   drain_delay : float;
-      (** Drain window between the pause and the handoff: the old node
-          keeps ownership while in-flight tuples settle into the
-          operator's buffer. *)
   handoff_delay : float;
-      (** Base state-transfer pause after the handoff (the paper's "few
-          hundred milliseconds"). *)
   state_delay : int -> float;
-      (** Extra per-operator transfer seconds added to [handoff_delay]
-          (negative values are clamped to [0]) — e.g. the [rod.dynamic]
-          state-size model, so a windowed join pauses longer than a
-          stateless filter. *)
 }
 
 val default_timing : migration_timing
@@ -52,7 +42,9 @@ type result = {
       (** Sink-output latency: completion time minus the event-time of
           the source tuple that triggered it. *)
   arrivals : int;
-  backlog : int;  (** Work items unserved at [until]. *)
+  backlog : int;
+      (** Work items queued, buffered by a migration or in service at
+          [until]: {!Dsim.Kernel.backlog}, as in {!Dsim.Engine}. *)
   lost : int;
       (** Work items destroyed by injected faults (crashed with their
           node or routed to a dead one). *)
@@ -87,13 +79,8 @@ val run :
     for joins).  Open aggregate windows at [until] are counted as
     backlog state, not flushed.
 
-    [migrations] are scripted pause–drain–resume relocations: at each
-    [(time, moves)] the listed [(op, dest)] migrations start — the
-    operator's queued work moves to a buffer, new input buffers, the
-    drain window closes with a handoff flipping ownership (skipped if
-    the destination died — the migration aborts), the state transfer
-    charges [handoff_delay + state_delay op], and the resume flushes
-    the buffer to the operator's current node.  Tuples buffered across
-    a migration are processed exactly once; semantic operator state is
-    process-global, so a handoff never replays or drops window
-    contents. *)
+    [migrations] are scripted: at each [(time, moves)] the listed
+    [(op, dest)] migrations start ({!Dsim.Kernel.migrate}).  Tuples
+    buffered across a migration are processed exactly once; semantic
+    operator state is process-global, so a handoff never replays or
+    drops window contents. *)

@@ -58,17 +58,4 @@ let sources t j = Array.to_list t.inputs_of.(j)
 
 let readers t = Graph.readers_of ~n_inputs:t.n_inputs t.inputs_of
 
-let sinks t =
-  let feeds = Array.make (n_ops t) false in
-  Array.iter
-    (Array.iter (function
-      | Graph.Op_output j -> feeds.(j) <- true
-      | Graph.Sys_input _ -> ()))
-    t.inputs_of;
-  let acc = ref [] in
-  for j = n_ops t - 1 downto 0 do
-    if not feeds.(j) then acc := j :: !acc
-  done;
-  !acc
-
 let topo_order t = Graph.topo_order (skeleton t)

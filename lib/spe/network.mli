@@ -25,8 +25,6 @@ val sources : t -> int -> Query.Graph.source list
 val readers : t -> (int * int) list array * (int * int) list array
 (** {!Query.Graph.readers_of} of the network's wiring. *)
 
-val sinks : t -> int list
-
 val topo_order : t -> int list
 
 val skeleton : ?costs:(int -> float) -> t -> Query.Graph.t

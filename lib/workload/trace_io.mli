@@ -12,9 +12,14 @@
 
 val to_string : Trace.t -> string
 
-val of_string : string -> Trace.t
-(** @raise Failure on malformed input. *)
+val of_string : string -> (Trace.t, string) result
+(** Total: malformed input is an [Error] naming its 1-based line — a
+    missing header, a dt that is not finite and positive, a rate that
+    is not finite and non-negative, or no rates at all.  Blank lines
+    and [#] comments after the header are skipped. *)
 
 val save : Trace.t -> path:string -> unit
 
-val load : path:string -> Trace.t
+val load : path:string -> (Trace.t, string) result
+(** {!of_string} of a file's contents; an unreadable file is an
+    [Error] too.  Messages are prefixed by [path]. *)

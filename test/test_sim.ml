@@ -19,14 +19,9 @@ let test_event_queue_ordering () =
   Event_queue.push q ~time:2. "b";
   Event_queue.push q ~time:1. "a2";
   let order = ref [] in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (_, x) ->
-      order := x :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    order := Event_queue.pop q :: !order
+  done;
   Alcotest.(check (list string)) "time then insertion order"
     [ "a"; "a2"; "b"; "c" ] (List.rev !order);
   Alcotest.(check bool) "empty after drain" true (Event_queue.is_empty q)
@@ -40,16 +35,13 @@ let test_event_queue_many () =
   let last = ref neg_infinity in
   let sorted = ref true in
   let count = ref 0 in
-  let rec drain () =
-    match Event_queue.pop q with
-    | Some (t, _) ->
-      if t < !last then sorted := false;
-      last := t;
-      incr count;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Event_queue.is_empty q) do
+    let t = Event_queue.min_time q in
+    ignore (Event_queue.pop q : int);
+    if t < !last then sorted := false;
+    last := t;
+    incr count
+  done;
   Alcotest.(check bool) "nondecreasing" true !sorted;
   Alcotest.(check int) "all popped" 1000 !count
 
@@ -61,9 +53,8 @@ let test_event_queue_refill () =
     (Event_queue.min_time q);
   let drain () =
     let rec go acc =
-      match Event_queue.pop q with
-      | Some (_, x) -> go (x :: acc)
-      | None -> List.rev acc
+      if Event_queue.is_empty q then List.rev acc
+      else go (Event_queue.pop q :: acc)
     in
     go []
   in
@@ -88,8 +79,8 @@ let test_event_queue_refill_allocation () =
   for i = 0 to 99_999 do
     Event_queue.push q ~time:(float_of_int i) i
   done;
-  while Event_queue.pop q <> None do
-    ()
+  while not (Event_queue.is_empty q) do
+    ignore (Event_queue.pop q : int)
   done;
   let words () =
     let minor, promoted, major = Gc.counters () in
@@ -101,6 +92,25 @@ let test_event_queue_refill_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "push after drain allocated %.0f words" used)
     true (used < 64.)
+
+(* A pop returns the bare payload: no option, no tuple, no words. *)
+let test_event_queue_pop_allocation () =
+  let q = Event_queue.create () in
+  for i = 0 to 999 do
+    Event_queue.push q ~time:(float_of_int (i * 7 mod 1000)) i
+  done;
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  while not (Event_queue.is_empty q) do
+    sum := !sum + Event_queue.pop q
+  done;
+  let used = Gc.minor_words () -. before in
+  Alcotest.(check int) "every payload popped" (999 * 1000 / 2) !sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 pops allocated %.0f words" used)
+    true (used < 100.);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Event_queue.pop: empty queue")
+    (fun () -> ignore (Event_queue.pop q : int))
 
 (* --- source merge --------------------------------------------------- *)
 
@@ -547,6 +557,8 @@ let suite =
     Alcotest.test_case "event queue refill order" `Quick test_event_queue_refill;
     Alcotest.test_case "event queue refill allocation" `Quick
       test_event_queue_refill_allocation;
+    Alcotest.test_case "event queue pop allocation" `Quick
+      test_event_queue_pop_allocation;
     Alcotest.test_case "source merge order" `Quick test_source_merge_order;
     Alcotest.test_case "single-op utilization" `Quick test_single_op_utilization;
     Alcotest.test_case "capacity scales service" `Quick test_capacity_scales_service;

@@ -640,19 +640,19 @@ let golden_dist_fingerprints () =
 let golden_dist_expected =
   [
     "plain arrivals=1290 outputs=2563 \
-     digest=812862916950a49ec4f960ac5a50edd8 backlog=0 lost=0 migrations=0 \
+     digest=812862916950a49ec4f960ac5a50edd8 backlog=2 lost=0 migrations=0 \
      ops=827/438/0 827,613/2521/10201 438/36/0 613,827/1440/0 1439/315/0 \
      2518/2518/0 p50=0x1.e4f765fd8cp-10 p99=0x1.b7b6bb1290136p-7";
     "crash arrivals=1290 outputs=2528 \
-     digest=43e89bbc6fc6380862f3ca01d8431340 backlog=198 lost=3 migrations=0 \
+     digest=43e89bbc6fc6380862f3ca01d8431340 backlog=200 lost=3 migrations=0 \
      ops=825/437/0 827,613/2521/10201 398/36/0 580,769/1349/0 1281/281/0 \
      2518/2518/0 p50=0x1.7c1bda5119ep-9 p99=0x1.4be4cd7492e21p-2";
     "migrations arrivals=1290 outputs=2356 \
-     digest=8851645159b10855f56c40eaac05f2f4 backlog=352 lost=0 migrations=5 \
+     digest=8851645159b10855f56c40eaac05f2f4 backlog=354 lost=0 migrations=5 \
      ops=827/438/0 826,611/2515/10176 437/36/0 580,766/1346/0 1256/276/0 \
      2350/2350/0 p50=0x1.0ebedfa437p-8 p99=0x1.68cd20afa2d9fp-1";
     "slow+jitter arrivals=1290 outputs=2556 \
-     digest=bfdb8150c633cb6fb1abecb8fbdee92d backlog=57 lost=0 migrations=0 \
+     digest=bfdb8150c633cb6fb1abecb8fbdee92d backlog=60 lost=0 migrations=0 \
      ops=805/424/0 827,613/2521/10201 424/36/0 613,827/1440/0 1404/308/0 \
      2518/2518/0 p50=0x1.e4f765fd8b8p-10 p99=0x1.6a6b50b0f282p-1";
   ]
@@ -662,6 +662,142 @@ let test_dist_executor_golden () =
     (fun expected actual ->
       Alcotest.(check string) "fingerprint" expected actual)
     golden_dist_expected (golden_dist_fingerprints ())
+
+(* --- one kernel under both executors ---------------------------------- *)
+
+(* The in-service item counts in [backlog] in both executors: one
+   arrival served for 0.5 s, cut off at 0.25 s. *)
+let test_in_service_backlog () =
+  let graph =
+    Graph.create ~n_inputs:1
+      ~ops:[ (Query.Op.map ~cost:0.5 (), [ Graph.Sys_input 0 ]) ]
+      ()
+  in
+  let network =
+    Network.create ~n_inputs:1
+      ~ops:[ (Sop.map (fun t -> t), [ Graph.Sys_input 0 ]) ]
+      ()
+  in
+  let caps = Linalg.Vec.of_list [ 1. ] in
+  let sim =
+    Dsim.Engine.run ~graph ~assignment:[| 0 |] ~caps ~arrivals:[| [ 0. ] |]
+      ~until:0.25 ()
+  in
+  let dist =
+    Spe.Dist_executor.run ~network ~assignment:[| 0 |] ~caps
+      ~cost:(Spe.Dist_executor.cost_model_of_graph graph)
+      ~inputs:[| [ Tuple.make ~ts:0. [] ] |]
+      ~until:0.25 ()
+  in
+  Alcotest.(check int) "engine backlog" 1 sim.Dsim.Sim_metrics.backlog;
+  Alcotest.(check int) "dist executor backlog" 1
+    dist.Spe.Dist_executor.backlog
+
+(* A pass-through network (maps, filters that always pass, a union)
+   and its cost model: selectivity 1 and no joins, so the Engine draws
+   no random numbers and both executors must time every item alike,
+   under a crash, a slowdown, jitter and a migration. *)
+let test_executors_agree () =
+  let open Query in
+  let graph =
+    Graph.create ~n_inputs:2
+      ~ops:
+        [
+          (Op.filter ~cost:0.004 ~sel:1. (), [ Graph.Sys_input 0 ]);
+          (Op.map ~cost:0.003 (), [ Graph.Sys_input 1 ]);
+          ( Op.union ~cost:0.002 ~n_inputs:2 (),
+            [ Graph.Op_output 0; Graph.Op_output 1 ] );
+          (Op.map ~cost:0.006 (), [ Graph.Op_output 2 ]);
+          (Op.filter ~cost:0.002 ~sel:1. (), [ Graph.Sys_input 0 ]);
+        ]
+      ()
+  in
+  let pass = Sop.filter (fun _ -> true) and copy = Sop.map (fun t -> t) in
+  let network =
+    Network.create ~n_inputs:2
+      ~ops:
+        [
+          (pass, [ Graph.Sys_input 0 ]);
+          (copy, [ Graph.Sys_input 1 ]);
+          (Sop.union ~arity:2 (), [ Graph.Op_output 0; Graph.Op_output 1 ]);
+          (copy, [ Graph.Op_output 2 ]);
+          (pass, [ Graph.Sys_input 0 ]);
+        ]
+      ()
+  in
+  let rng = Random.State.make [| 31 |] in
+  let arrivals =
+    Array.map
+      (fun rates ->
+        Workload.Generators.poisson_arrivals ~rng
+          ~trace:(Workload.Trace.create ~dt:1. rates))
+      [| [| 90.; 160.; 60.; 120. |]; [| 70.; 40.; 150.; 80. |] |]
+  in
+  let inputs =
+    Array.map (List.map (fun ts -> Tuple.make ~ts [ ("x", Value.Int 1) ])) arrivals
+  in
+  let assignment = [| 0; 1; 2; 0; 1 |] in
+  let caps = Linalg.Vec.of_list [ 1.; 1.; 0.8 ] in
+  let faults =
+    [
+      Dsim.Fault.Crash { node = 2; at = 2.5; recovery = [| 0; 1; 1; 0; 1 |] };
+      Dsim.Fault.Slowdown { node = 0; from_ = 1.; until_ = 2.; factor = 0.5 };
+      Dsim.Fault.Jitter { from_ = 1.5; until_ = 3.; extra = 0.004 };
+    ]
+  in
+  (* Operator 3 moves to node 1 at 2 s: a tick of the Engine's
+     controller, a scripted migration of the Dist_executor. *)
+  let decide ~time ~utilization:_ ~op_cpu:_ ~rates:_ ~assignment:_ =
+    if time = 2. then [ (3, 1) ] else []
+  in
+  let sim =
+    Dsim.Engine.run ~graph ~assignment ~caps ~arrivals
+      ~config:
+        { Dsim.Engine.default_config with warmup = 0.5; net_delay = 2e-3; faults }
+      ~dynamic:
+        {
+          Dsim.Engine.interval = 1.;
+          migration_delay = 0.2;
+          drain_delay = 0.05;
+          state_delay = (fun op -> 0.01 *. float_of_int op);
+          decide;
+        }
+      ~until:4. ()
+  in
+  let dist =
+    Spe.Dist_executor.run ~network ~assignment ~caps
+      ~cost:(Spe.Dist_executor.cost_model_of_graph graph)
+      ~inputs
+      ~config:{ Spe.Dist_executor.warmup = 0.5; net_delay = 2e-3; faults }
+      ~migrations:[ (2., [ (3, 1) ]) ]
+      ~timing:
+        {
+          Spe.Dist_executor.drain_delay = 0.05;
+          handoff_delay = 0.2;
+          state_delay = (fun op -> 0.01 *. float_of_int op);
+        }
+      ~until:4. ()
+  in
+  let open Spe.Dist_executor in
+  let p q samples = Obs.Samples.percentile samples q in
+  Alcotest.(check (array (float 0.))) "utilization"
+    sim.Dsim.Sim_metrics.utilization dist.utilization;
+  Alcotest.(check (float 0.)) "p50" (p 50. sim.Dsim.Sim_metrics.latencies)
+    (p 50. dist.latencies);
+  Alcotest.(check (float 0.)) "p99" (p 99. sim.Dsim.Sim_metrics.latencies)
+    (p 99. dist.latencies);
+  Alcotest.(check int) "outputs" sim.Dsim.Sim_metrics.outputs
+    (List.length dist.outputs);
+  Alcotest.(check int) "backlog" sim.Dsim.Sim_metrics.backlog dist.backlog;
+  Alcotest.(check int) "lost" sim.Dsim.Sim_metrics.lost dist.lost;
+  Alcotest.(check int) "arrivals" sim.Dsim.Sim_metrics.arrivals dist.arrivals;
+  Alcotest.(check int) "migrations" 1 dist.migrations;
+  Alcotest.(check int) "engine migrations" 1 sim.Dsim.Sim_metrics.migrations;
+  (* The schedule bites: work is lost and left over. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "lost %d, backlog %d" dist.lost dist.backlog)
+    true
+    (dist.lost > 0 && dist.backlog > 0)
 
 let test_datagen () =
   let rng = Random.State.make [| 5 |] in
@@ -837,6 +973,10 @@ let suite =
     Alcotest.test_case "dist executor join costing" `Quick
       test_dist_executor_join_pair_costing;
     Alcotest.test_case "dist executor golden" `Quick test_dist_executor_golden;
+    Alcotest.test_case "in-service item counts in backlog" `Quick
+      test_in_service_backlog;
+    Alcotest.test_case "executors agree on pass-through" `Quick
+      test_executors_agree;
     Alcotest.test_case "datagen" `Quick test_datagen;
     Alcotest.test_case "datagen tracks trace rates" `Quick test_datagen_rates;
   ]

@@ -213,7 +213,9 @@ let test_trace_combinators () =
 
 let test_trace_io_roundtrip () =
   let t = Trace.create ~dt:0.25 [| 1.5; 0.; 3.25; 100.125 |] in
-  let back = Workload.Trace_io.of_string (Workload.Trace_io.to_string t) in
+  let back =
+    Result.get_ok (Workload.Trace_io.of_string (Workload.Trace_io.to_string t))
+  in
   Alcotest.check (approx 1e-15) "dt preserved" t.Trace.dt back.Trace.dt;
   Alcotest.(check (array (float 1e-15))) "rates preserved" t.Trace.rates
     back.Trace.rates;
@@ -222,19 +224,36 @@ let test_trace_io_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Workload.Trace_io.save t ~path;
-      let loaded = Workload.Trace_io.load ~path in
+      let loaded = Result.get_ok (Workload.Trace_io.load ~path) in
       Alcotest.(check (array (float 1e-15))) "file round-trip" t.Trace.rates
         loaded.Trace.rates)
 
 let test_trace_io_rejects_garbage () =
   List.iter
-    (fun text ->
-      Alcotest.(check bool) ("rejects " ^ String.escaped text) true
-        (try
-           ignore (Workload.Trace_io.of_string text);
-           false
-         with Failure _ | Invalid_argument _ -> true))
-    [ ""; "nonsense\n1\n2\n"; "# rodtrace dt=abc\n1\n"; "# rodtrace dt=1\nxyz\n" ]
+    (fun (text, line) ->
+      let expected = Printf.sprintf "line %d: " line in
+      match Workload.Trace_io.of_string text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S rejected at %s(%s)" text expected msg)
+          true
+          (String.starts_with ~prefix:expected msg))
+    [
+      ("", 1);
+      ("nonsense\n1\n2\n", 1);
+      ("# rodtrace dt=abc\n1\n", 1);
+      ("# rodtrace dt=1\nxyz\n", 2);
+      ("# rodtrace dt=nan\n1\n", 1);
+      ("# rodtrace dt=-1\n1\n", 1);
+      ("# rodtrace dt=1\n1\n\nnan\n", 4);
+      ("# rodtrace dt=1\ninf\n", 2);
+      ("# rodtrace dt=1\n3\n-2\n", 3);
+      ("# rodtrace dt=1\n", 1);
+    ];
+  match Workload.Trace_io.load ~path:"no/such/trace.txt" with
+  | Ok _ -> Alcotest.fail "loaded a missing file"
+  | Error _ -> ()
 
 let suite =
   [
