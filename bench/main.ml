@@ -4,8 +4,9 @@
    (see DESIGN.md's experiment index): one Registry entry per artifact,
    printed as plain-text tables.
 
-   Part 2 runs Bechamel micro-benchmarks of the placement algorithms and
-   the supporting machinery, one Test.make per measured operation.  The
+   Part 2 runs Bechamel micro-benchmarks of the placement algorithms,
+   the local-search scorer and the replanner, one Test.make per measured
+   operation (the place/ and controller/ rungs of the ladder).  The
    results are printed as a table and also written to BENCH_rod.json
    (name -> ns/run, r^2) so the perf trajectory across PRs is diffable.
 
@@ -15,7 +16,6 @@
    --json <path> (micro results destination, default BENCH_rod.json). *)
 
 module Problem = Rod.Problem
-module Plan = Rod.Plan
 
 let has_flag flag = Array.exists (fun a -> a = flag) Sys.argv
 
@@ -71,13 +71,8 @@ let micro_tests ?only () =
     Linalg.Mat.init 32 (Problem.dim problem100) (fun t k ->
         float_of_int (((t * 31) + (k * 17)) mod 97) /. 97.)
   in
-  let plan100 = Rod.Rod_algorithm.plan problem100 in
-  let ln = Plan.node_loads plan100 in
-  let caps = problem100.Problem.caps in
+  let _, problem10k = fixture ~m:10000 ~d:5 ~n_nodes:256 in
   let rng = Random.State.make [| 7 |] in
-  let _, small_problem = fixture ~m:8 ~d:2 ~n_nodes:2 in
-  let sim_graph = Query.Builder.chain ~n_ops:3 ~cost:1e-4 ~sel:1. () in
-  let sim_trace = Workload.Trace.create ~dt:1. [| 500. |] in
   let keep test =
     match only with
     | None -> true
@@ -155,9 +150,14 @@ let micro_tests ?only () =
               Rod.Local_search.rod_polished ~samples:256 ~max_passes:3
                 problem1000));
       Test.make ~name:"place/ROD-m10000-n256"
+        (Staged.stage (fun () -> Rod.Rod_algorithm.place problem10k));
+      Test.make ~name:"place/LS-scorer-m10000-n256"
         (Staged.stage
-           (let _, problem10k = fixture ~m:10000 ~d:5 ~n_nodes:256 in
-            fun () -> Rod.Rod_algorithm.place problem10k));
+           (* The local-search scorer build alone, at the default 2048
+              samples: what every replan pays before it scores its
+              first candidate. *)
+           (let assignment = Rod.Rod_algorithm.place problem10k in
+            fun () -> Rod.Local_search.make_scorer problem10k assignment 2048));
       Test.make ~name:"place/LLF-m100"
         (Staged.stage (fun () -> Baselines.llf ~rates problem100));
       Test.make ~name:"place/connected-m100"
@@ -188,61 +188,6 @@ let micro_tests ?only () =
               Dynamic.Replanner.replan ~samples:1024 ~rates:drifted ~budget:3
                 ~cost_of:(fun _ -> 0.)
                 problem ~assignment));
-      Test.make ~name:"volume/qmc-4096"
-        (Staged.stage (fun () ->
-             Feasible.Volume.ratio_qmc ~ln ~caps ~samples:4096 ()));
-      Test.make ~name:"volume/exact-polygon"
-        (Staged.stage (fun () ->
-             let g = Query.Builder.example2 () in
-             let p = Problem.of_graph g ~caps:(Linalg.Vec.of_list [ 1.; 1. ]) in
-             let pl = Plan.make p [| 0; 1; 1; 0 |] in
-             Feasible.Polygon.feasible_area ~ln:(Plan.node_loads pl)
-               ~caps:p.Problem.caps ()));
-      Test.make ~name:"optimal/search-m8-n2"
-        (Staged.stage (fun () -> Rod.Optimal.search ~samples:256 small_problem));
-      Test.make ~name:"sim/chain-1s-500tps"
-        (Staged.stage (fun () ->
-             let arrivals =
-               [| Workload.Generators.deterministic_arrivals ~trace:sim_trace |]
-             in
-             Dsim.Engine.run ~graph:sim_graph ~assignment:[| 0; 0; 0 |]
-               ~caps:(Linalg.Vec.of_list [ 1. ])
-               ~arrivals ~until:1. ()));
-      Test.make ~name:"workload/bmodel-4096"
-        (Staged.stage (fun () ->
-             Workload.Bmodel.generate ~rng ~bias:0.7 ~levels:12 ~total:1e6));
-      Test.make ~name:"cql/compile-monitoring"
-        (Staged.stage
-           (let source =
-              (* Read the shipped query when run from the repo root;
-                 fall back to an embedded equivalent elsewhere. *)
-              match open_in "examples/queries/monitoring.rql" with
-              | ic ->
-                Fun.protect
-                  ~finally:(fun () -> close_in ic)
-                  (fun () -> really_input_string ic (in_channel_length ic))
-              | exception Sys_error _ ->
-                "stream s (src: string, bytes: int, proto: string);\n\
-                 node clean = filter s where proto != \"icmp\";\n\
-                 node vol = aggregate clean window 2.0 by src compute { v = \
-                 sum(bytes) };\n\
-                 node heavy = filter vol where v > 1000.0;\n\
-                 output heavy;"
-            in
-            fun () -> Cql.Frontend.compile_string source));
-      Test.make ~name:"query/partition-8way"
-        (Staged.stage
-           (let g =
-              Query.Randgraph.generate_trees
-                ~rng:(Random.State.make [| 5 |])
-                ~n_inputs:3 ~ops_per_tree:5
-            in
-            fun () -> Query.Partition.split_all ~ways:8 g));
-      Test.make ~name:"failure/mean-survival-m30"
-        (Staged.stage
-           (let _, p = fixture ~m:30 ~d:3 ~n_nodes:4 in
-            let a = Rod.Rod_algorithm.place p in
-            fun () -> Rod.Failure.mean_survival ~samples:512 p ~assignment:a));
     ])
 
 (* Machine-readable twin of the plain-text table.  Since schema v2 the

@@ -45,17 +45,19 @@ type outcome = {
    provably cannot flip ([violations >= 2] for relocations,
    [violations >= 3] for swaps).
 
-   No per-operator contribution table is kept: an operator's load on
+   Node loads start as the dot of each node's load vector (the sum of
+   its operators' coefficient rows) with the QMC point.  No
+   per-operator contribution table is kept: an operator's load on
    sample [s] is recomputed where a kernel needs it, as the
    left-to-right dot of its coefficient row with the stored QMC point,
 
      acc := 0.; for k: acc := !acc +. row.(k) *. points.(s * dim + k)
 
-   which is the exact float expression the node loads were accumulated
-   from, so every recomputed value is bit-identical to the stored one
-   it replaces.  The dot is written out at each site (a float-returning
-   helper would box its result on every call), with the accumulator
-   hoisted out of the sample loop.
+   [shift] and every read-only kernel use this one expression, so a
+   predicted delta is bit-identical to the move it predicts.  The dot
+   is written out at each site (a float-returning helper would box its
+   result on every call), with the accumulator hoisted out of the
+   sample loop.
 
    The sample dimension is sharded across the pool for the mutating
    [shift] path and the fused relocation kernel: per-sample state lines
@@ -99,49 +101,48 @@ let feasible scorer = scorer.feasible
 let n_samples scorer = scorer.samples
 
 let make_scorer ?pool problem assignment samples =
+  if samples <= 0 then
+    invalid_arg "Local_search.make_scorer: samples must be positive";
   let pool = match pool with Some p -> p | None -> Pool.global () in
   let n = Problem.n_nodes problem in
-  let m = Problem.n_ops problem in
   let l = Problem.total_coefficients problem in
   let c_total = Problem.total_capacity problem in
   let dim = Problem.dim problem in
   let lo = problem.Problem.lo in
   let caps = problem.Problem.caps in
+  (* Node load vectors L_i = sum of lo_j over the operators on node i,
+     summed in ascending j as [Plan.node_loads] does: O(m * d) once, so
+     the per-sample work below is one d-term dot per node, not per
+     operator. *)
+  let ln = Array.init n (fun _ -> Array.make dim 0.) in
+  Array.iteri (fun j node -> Vec.add_inplace lo.(j) ln.(node)) assignment;
   let points = Array.make (samples * dim) 0. in
   let node_load = Array.init n (fun _ -> Array.make samples 0.) in
   let violations = Array.make samples 0 in
-  (* One fused pass per sample chunk: generate the chunk's QMC rate
-     points into the shared block (the per-point scratch is hoisted out
-     of the loop body), fold every operator's contribution into its
-     home row — operator-outer, so each (node, sample) cell sums its
-     operators in ascending order — and count the violations. *)
+  (* One fused pass per sample chunk: generate each QMC rate point into
+     the shared block (the per-point scratch is hoisted out of the loop
+     body), fill every node's load at it as the left-to-right dot of
+     L_i with the point, and count the violations.  Each (node, sample)
+     cell is written by exactly one chunk. *)
   let feasible =
     Pool.map_reduce pool ~n:samples ~init:0 ~combine:( + ) ~map:(fun lo_s hi_s ->
         let cube = Array.make dim 0. in
         let point = Array.make dim 0. in
+        let feasible = ref 0 in
+        let acc = ref 0. in
         for s = lo_s to hi_s - 1 do
           Feasible.Halton.point_into cube s;
           Feasible.Simplex.sample_ideal_into ~l ~c_total ~cube_point:cube
             ~scratch:cube point;
-          Array.blit point 0 points (s * dim) dim
-        done;
-        let acc = ref 0. in
-        for j = 0 to m - 1 do
-          let row = lo.(j) and load = node_load.(assignment.(j)) in
-          for s = lo_s to hi_s - 1 do
-            let base = s * dim in
+          Array.blit point 0 points (s * dim) dim;
+          for i = 0 to n - 1 do
+            let li = ln.(i) in
             acc := 0.;
             for k = 0 to dim - 1 do
-              acc := !acc +. (row.(k) *. points.(base + k))
+              acc := !acc +. (li.(k) *. point.(k))
             done;
-            load.(s) <- load.(s) +. !acc
-          done
-        done;
-        let feasible = ref 0 in
-        for s = lo_s to hi_s - 1 do
-          for i = 0 to n - 1 do
-            if node_load.(i).(s) > caps.(i) then
-              violations.(s) <- violations.(s) + 1
+            node_load.(i).(s) <- !acc;
+            if !acc > caps.(i) then violations.(s) <- violations.(s) + 1
           done;
           if violations.(s) = 0 then incr feasible
         done;
@@ -167,24 +168,6 @@ let make_scorer ?pool problem assignment samples =
     swap_t1 = Array.make samples 0;
     swap_pos = Array.make samples 0;
     swap_pos_len = 0;
-  }
-
-(* The QMC point block and coefficient rows are read-only, so they are
-   shared; the mutable state is copied and the scratch is private. *)
-let copy scorer assignment =
-  if assignment <> scorer.assignment then
-    invalid_arg "Local_search.copy: assignment differs from the scorer's";
-  {
-    scorer with
-    assignment;
-    node_load = Array.map Array.copy scorer.node_load;
-    violations = Array.copy scorer.violations;
-    gain_chunks = Array.map Array.copy scorer.gain_chunks;
-    gains = Array.copy scorer.gains;
-    swap_c1 = Array.copy scorer.swap_c1;
-    swap_a1 = Array.copy scorer.swap_a1;
-    swap_t1 = Array.copy scorer.swap_t1;
-    swap_pos = Array.copy scorer.swap_pos;
   }
 
 (* Apply op j's contribution to node i with the given sign, keeping the

@@ -21,14 +21,17 @@
     under a swap (load contributions are nonnegative by the
     {!Problem.t} invariants), which is what the skip index exploits.
 
-    Complexity: a relocation sweep is [O(m * (samples + active * n))]
-    where [active] counts samples with [v <= 1]; swap sweeps are
-    [O(m * samples + m^2 * candidates)] with [candidates] the usually
-    tiny per-batch gain-candidate list, and run only when relocations
-    are exhausted.  Each [samples] term carries a factor [d]: an
-    operator's load on a sample is recomputed from the point block as a
-    [d]-term dot wherever a kernel needs it.  The search ends after a
-    pass that finds no improving move.
+    Complexity: building the scorer is [O(m * d + n * samples * d)]:
+    each node's load vector [L_i] is summed once from its operators'
+    rows, and a node's load on a sample is one [d]-term dot of [L_i]
+    with the QMC point.  A relocation sweep is
+    [O(m * (samples + active * n))] where [active] counts samples with
+    [v <= 1]; swap sweeps are [O(m * samples + m^2 * candidates)] with
+    [candidates] the usually tiny per-batch gain-candidate list, and run
+    only when relocations are exhausted.  Each sweep's [samples] term
+    carries a factor [d]: an operator's load on a sample is recomputed
+    from the point block as a [d]-term dot wherever a kernel needs it.
+    The search ends after a pass that finds no improving move.
 
     Memory: [O(n * samples + samples * d)] for the scorer, independent
     of [m] beyond the assignment itself. *)
@@ -56,21 +59,15 @@ val make_scorer :
     given starting assignment.  The array is {e shared}, not copied:
     the scorer reads it to resolve an operator's current node, so a
     caller applying {!move} must update the same array accordingly
-    ({!improve} does).  One fused pass generates the [samples x d] QMC
-    point block, which the scorer keeps, and accumulates the node loads
-    from each operator's contribution on the fly; no per-operator
-    contribution table is built, and every kernel recomputes a
-    contribution (bit-identically) where it needs one.  Defaults to
-    the global pool. *)
-
-val copy : scorer -> int array -> scorer
-(** [copy scorer assignment] is an independent scorer in [scorer]'s
-    current state: node loads, violation counts and the feasible total
-    are copied, the QMC point block is shared.  Like {!make_scorer} it
-    reads [assignment], which must hold the same homes as the array
-    [scorer] reads (else [Invalid_argument]); moves applied to either
-    scorer leave the other untouched.  Costs [O(m + n * samples)],
-    against [O(m * samples * d)] for building a fresh scorer. *)
+    ({!improve} does).  It sums each node's load vector
+    [L_i = sum of lo_j over the operators on i] in ascending [j] (as
+    {!Plan.node_loads} does), then one fused pass generates the
+    [samples x d] QMC point block, which the scorer keeps, and sets
+    each node's load on each sample to the left-to-right dot of [L_i]
+    with the point: [O(m * d + n * samples * d)].  No per-operator
+    contribution table is built; every kernel recomputes an operator's
+    contribution where it needs one.  Defaults to the global pool.
+    Raises [Invalid_argument] when [samples <= 0]. *)
 
 val feasible : scorer -> int
 (** Number of feasible samples under the current state. *)

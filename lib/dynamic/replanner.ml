@@ -157,25 +157,20 @@ let replan ?pool ?(samples = 2048) ?rates ~budget ~cost_of problem ~assignment =
   in
   let margin_before = margin_of assignment in
   (* The volume-only retry runs only from a plan already past its
-     boundary with budget to spend; it starts from the same state as the
-     first attempt, so it takes a copy of that scorer made before the
-     first attempt moves anything, instead of building a second one. *)
+     boundary with budget to spend, and only after the first attempt
+     fails the gate. *)
   let retry_possible =
     match margin_before with
     | Some mb -> mb.Margin.margin < 0. && budget > 0
     | None -> false
   in
-  let working = Array.copy assignment in
-  let scorer = Local_search.make_scorer ?pool problem working samples in
-  let retry_start =
-    if retry_possible then
-      let working = Array.copy assignment in
-      Some (working, Local_search.copy scorer working)
-    else None
+  (* Each attempt starts from the original assignment's state: a
+     working copy of the array and a fresh scorer reading it (the
+     scorer shares, not copies), both updated by every applied move. *)
+  let start () =
+    let working = Array.copy assignment in
+    (working, Local_search.make_scorer ?pool problem working samples)
   in
-  (* One attempt from the original assignment's state: a working copy
-     of the array and a scorer reading it (the scorer shares, not
-     copies), both updated by every applied move. *)
   let attempt ~with_repair (working, scorer) =
     let feas_before = Local_search.feasible scorer in
     let left, repair_moves =
@@ -217,18 +212,19 @@ let replan ?pool ?(samples = 2048) ?rates ~budget ~cost_of problem ~assignment =
         }
     else None
   in
-  let first = attempt ~with_repair:true (working, scorer) in
+  let first = attempt ~with_repair:true (start ()) in
   match gated first with
   | Some outcome -> outcome
   | None -> (
     (* The repair phase may trade volume for margin past the gate; a
        volume-only retry can only grow the ratio. *)
     let retry =
-      match retry_start with
-      | Some start ->
-        let ((_, moves, _, _, _) as a) = attempt ~with_repair:false start in
+      if retry_possible then
+        let ((_, moves, _, _, _) as a) =
+          attempt ~with_repair:false (start ())
+        in
         if moves = [] then None else gated a
-      | None -> None
+      else None
     in
     match retry with
     | Some outcome -> outcome

@@ -179,6 +179,55 @@ let prop_fused_matches_gain =
               !ok))
         [ 1; 4 ])
 
+(* make_scorer fills a node's load on a sample as one dot of the node's
+   load vector with the QMC point.  Recount the feasible samples
+   independently from [Plan.node_loads], [Vec.dot] and the strict
+   [> cap] test, on the same Halton points mapped into the ideal
+   simplex: the arithmetic is the same, so the counts are equal
+   exactly. *)
+let recount_feasible problem assignment samples =
+  let ln = Rod.Plan.node_loads (Rod.Plan.make problem assignment) in
+  let caps = problem.Problem.caps in
+  let l = Problem.total_coefficients problem in
+  let c_total = Problem.total_capacity problem in
+  let d = Problem.dim problem in
+  let cube = Array.make d 0. and point = Array.make d 0. in
+  let count = ref 0 in
+  for s = 0 to samples - 1 do
+    Feasible.Halton.point_into cube s;
+    Feasible.Simplex.sample_ideal_into ~l ~c_total ~cube_point:cube
+      ~scratch:cube point;
+    let violated = ref false in
+    Array.iteri
+      (fun i cap -> if Vec.dot (Mat.row ln i) point > cap then violated := true)
+      caps;
+    if not !violated then incr count
+  done;
+  !count
+
+let prop_scorer_matches_recount =
+  QCheck.Test.make ~name:"make_scorer feasible = node-load recount (1/2/4)"
+    ~count:60 arbitrary_instance (fun (lo, caps, assignment) ->
+      let problem = Problem.create ~lo:(Mat.of_arrays lo) ~caps in
+      let expected = recount_feasible problem assignment samples in
+      List.for_all
+        (fun ways ->
+          with_pool ways (fun pool ->
+              LS.feasible (LS.make_scorer ~pool problem assignment samples)
+              = expected))
+        [ 1; 2; 4 ])
+
+let test_samples_positive () =
+  let problem = fixture ~m:12 ~d:2 ~n_nodes:3 ~cap:1. () in
+  let start = Array.make 12 0 in
+  let expected =
+    Invalid_argument "Local_search.make_scorer: samples must be positive"
+  in
+  Alcotest.check_raises "improve ~samples:0" expected (fun () ->
+      ignore (LS.improve ~samples:0 problem start));
+  Alcotest.check_raises "make_scorer -3" expected (fun () ->
+      ignore (LS.make_scorer problem start (-3)))
+
 (* --- mid-size golden, recorded before the scorer dropped its
    per-operator contribution table ------------------------------------
 
@@ -302,10 +351,13 @@ let suite =
       `Quick test_golden_midsize;
     Alcotest.test_case "make_scorer allocation flat in m" `Quick
       test_scorer_alloc_flat_in_m;
+    Alcotest.test_case "sample count must be positive" `Quick
+      test_samples_positive;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_gain_matches_move;
         prop_swap_gain_matches_moves;
         prop_fused_matches_gain;
+        prop_scorer_matches_recount;
       ]
