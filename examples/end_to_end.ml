@@ -4,8 +4,9 @@
         typed tuples);
      2. run it on sample data and check it computes what it should;
      3. profile it: exact selectivities from counts, per-tuple costs
-        from timed replays (the paper's §7.1 methodology);
-     4. hand the measured cost model to ROD for a resilient placement;
+        from a fixed unit per operator kind (the paper's §7.1
+        methodology, with load as a count rather than a timing);
+     4. hand the counted cost model to ROD for a resilient placement;
      5. stress the placement in the discrete-event simulator at rates
         the sample run never saw.
 
@@ -76,17 +77,21 @@ let () =
   | (_, alert) :: _ -> Format.printf "first alert: %a@." Tuple.pp alert
   | [] -> ());
 
-  (* 3. the measured cost model. *)
-  Format.printf "@.measured operator profiles:@.";
+  (* 3. the counted cost model. *)
+  Format.printf "@.counted operator profiles:@.";
   Array.iteri
-    (fun j p ->
-      Format.printf "  %-10s cost %8.1f ns/tuple   selectivity %6.3f@."
-        (Sop.name (Spe.Network.op network j))
-        (1e9 *. p.Spe.Profiler.cost)
-        p.Spe.Profiler.selectivity)
-    profile.Spe.Profiler.per_op;
+    (fun j (e : Dsim.Calibrate.estimate) ->
+      let sop = Spe.Network.op network j in
+      let selectivity =
+        Option.value e.sel_per_pair ~default:e.selectivities.(0)
+      in
+      Format.printf "  %-10s %-9s cost %6.1f ns   selectivity %6.3f@."
+        (Sop.name sop) (Sop.kind sop)
+        (1e9 *. Spe.Profiler.unit_cost sop)
+        selectivity)
+    profile.Spe.Profiler.estimates;
 
-  (* 4. resilient placement on the measured model. *)
+  (* 4. resilient placement on the counted model. *)
   let caps = Rod.Problem.homogeneous_caps ~n:3 ~cap:1. in
   let problem = Rod.Problem.of_model
       (Query.Load_model.derive profile.Spe.Profiler.graph) ~caps

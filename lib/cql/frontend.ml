@@ -48,7 +48,7 @@ let describe compiled =
   List.iter
     (fun (name, j) ->
       out "node %d: %s = %s\n" j name
-        (Spe.Sop.name (Spe.Network.op compiled.Compile.network j)))
+        (Spe.Sop.kind (Spe.Network.op compiled.Compile.network j)))
     compiled.Compile.node_index;
   List.iter
     (fun (name, j) -> out "output: %s (operator %d)\n" name j)

@@ -15,4 +15,4 @@ val error_to_string : error -> string
 
 val describe : Compile.compiled -> string
 (** A short plain-text summary: inputs with schemas, nodes with their
-    operators, outputs. *)
+    operator's {!Spe.Sop.kind}, outputs. *)

@@ -69,18 +69,18 @@ let of_cost_model ?polish ?lower ?place ?samples ~graph ~caps () =
   finish ?polish ?lower ?place ?samples ~graph ~caps ~network:None
     ~profile:None ()
 
-let of_network ?polish ?place ?samples ?replays ~network ~sample ~caps () =
-  let profile = Spe.Profiler.profile ?replays network ~inputs:sample in
+let of_network ?polish ?place ?samples ~network ~sample ~caps () =
+  let profile = Spe.Profiler.profile network ~inputs:sample in
   finish ?polish ?place ?samples ~graph:profile.Spe.Profiler.graph ~caps
     ~network:(Some network) ~profile:(Some profile) ()
 
-let of_query_file ?polish ?samples ?replays ~path ~sample ~caps () =
+let of_query_file ?polish ?samples ~path ~sample ~caps () =
   match Cql.Frontend.compile_file ~path with
   | Error e -> Error (Cql.Frontend.error_to_string e)
   | Ok compiled -> (
     match
-      of_network ?polish ?samples ?replays
-        ~network:compiled.Cql.Compile.network ~sample ~caps ()
+      of_network ?polish ?samples ~network:compiled.Cql.Compile.network
+        ~sample ~caps ()
     with
     | deployment -> Ok deployment
     | exception Invalid_argument message -> Error message)

@@ -20,7 +20,8 @@ type t = {
   network : Spe.Network.t option;
       (** The executable network, when deploying from one. *)
   profile : Spe.Profiler.profile_result option;
-      (** Measured costs/selectivities, when profiling happened. *)
+      (** Counted selectivities and unit costs, when profiling
+          happened. *)
   analysis : Analysis.Plan_check.report;
       (** The static-analysis report for the deployed model.  Every
           entry point runs {!Analysis.Plan_check.check_graph} before
@@ -49,20 +50,19 @@ val of_network :
   ?polish:bool ->
   ?place:(Rod.Problem.t -> int array) ->
   ?samples:int ->
-  ?replays:int ->
   network:Spe.Network.t ->
   sample:Spe.Tuple.t list array ->
   caps:Linalg.Vec.t ->
   unit ->
   t
 (** Profile the executable network on [sample] tuples (one
-    timestamp-ascending list per input stream), then place the measured
-    cost model ([place] as in {!of_cost_model}). *)
+    timestamp-ascending list per input stream) with {!Spe.Profiler},
+    then place the counted cost model ([place] as in {!of_cost_model}).
+    The same network and sample give the same deployment. *)
 
 val of_query_file :
   ?polish:bool ->
   ?samples:int ->
-  ?replays:int ->
   path:string ->
   sample:Spe.Tuple.t list array ->
   caps:Linalg.Vec.t ->

@@ -81,7 +81,7 @@ let compare_network ~horizon ~rng ~label ~profile_rate ~test_rate network =
   let assignment = Rod.Rod_algorithm.place problem in
   let model = Query.Load_model.derive graph in
   (* Scale capacities so the predicted hottest node sits at 60% at the
-     profiling rate (measured nanosecond costs are tiny otherwise). *)
+     profiling rate (unit costs are fractions of a microsecond). *)
   let predicted =
     let vars =
       Query.Load_model.eval_vars model

@@ -11,9 +11,8 @@
       deterministic nonzero widths without any real time passing (the
       default for the process-wide registry and tracer);
     - {!of_fun}: delegates to an external function — the escape hatch
-      for genuine wall time, e.g. [Spe.Profiler.wall_clock], whose
-      module owns the repo's only rodlint-allowlisted wall-clock
-      reads. *)
+      for genuine wall time, which no library module reads (benchmark
+      harnesses pass their own). *)
 
 type t
 

@@ -31,7 +31,7 @@ val clock : unit -> Clock.t
     deterministic ticker by default). *)
 
 val set_clock : Clock.t -> unit
-(** Swap the shared clock, e.g. for [Spe.Profiler.wall_clock]. *)
+(** Swap the shared clock, e.g. for an {!Clock.of_fun} wall clock. *)
 
 val reset : unit -> unit
 (** Zero all metrics, clear the trace, rewind the clock — registrations

@@ -10,7 +10,11 @@
     rebuilds a graph whose operator parameters are the estimates, ready
     for load-model derivation and placement.  Parameters of operators
     that processed no tuples during the trial keep their configured
-    values. *)
+    values.
+
+    [Spe.Profiler] builds the same estimates from a semantic run: it
+    counts selectivities, charges a fixed unit cost per operator kind,
+    and passes both through {!estimated_graph}. *)
 
 type estimate = {
   costs : float array;  (** Estimated CPU seconds per tuple, per input. *)

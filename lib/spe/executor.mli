@@ -8,7 +8,7 @@
     load model and the simulator.
 
     The executor is single-process and logical (no queueing delays) —
-    its job is {e semantics and measurement}: exact per-operator
+    its job is {e semantics and counting}: exact per-operator
     input/output counts (selectivities) and join candidate-pair counts,
     which the {!Profiler} turns into a cost model for placement. *)
 
@@ -24,7 +24,8 @@ type result = {
   stats : op_run_stat array;
   recorded : (int * Tuple.t) list array option;
       (** With [~record:true]: each operator's input log
-          [(input index, tuple)] in arrival order, for replay. *)
+          [(input index, tuple)] in arrival order, for oracles that
+          check per-tuple routing. *)
 }
 
 val run : ?record:bool -> Network.t -> inputs:Tuple.t list array -> result
@@ -34,9 +35,11 @@ val run : ?record:bool -> Network.t -> inputs:Tuple.t list array -> result
 
 (** {2 Replay hooks}
 
-    Single-operator execution for the {!Profiler}'s timing loops: fresh
-    state and counters plus the raw processing step, without a network
-    around them. *)
+    Single-operator execution for engines that schedule operators
+    themselves ({!Dist_executor}): fresh state and counters plus the
+    raw processing step, without a network around them.
+    [replay_process] maintains only [pairs]; [consumed] and [emitted]
+    are the caller's to count. *)
 
 type state
 

@@ -1,88 +1,64 @@
-type op_profile = {
-  cost : float;
-  selectivity : float;
-  consumed : int;
-  emitted : int;
-  pairs : int;
-}
+(* rodlint: deterministic *)
 
 type profile_result = {
   graph : Query.Graph.t;
   run : Executor.result;
-  per_op : op_profile array;
+  estimates : Dsim.Calibrate.estimate array;
 }
 
-let placeholder_cost = 1e-6
+(* CPU seconds per consumed tuple (per candidate pair for a join), one
+   unit per kind.  Calibrated once against the medians of timed replays
+   of the example queries and EXPSPE's networks (CHANGES.md has the
+   timings); no example has a map, which builds a new tuple like a
+   project does. *)
+let units =
+  [
+    ("filter", 6e-8);
+    ("map", 7.5e-7);
+    ("project", 7.5e-7);
+    ("union", 7e-9);
+    ("aggregate", 2.5e-7);
+    ("join", 2e-7);
+    ("distinct", 4.5e-8);
+  ]
 
-(* Wall-clock of replaying one operator's recorded input log [replays]
-   times over fresh state.  The throwaway stat keeps [process]'s
-   signature happy without polluting the measured run's counters.
-   The [Unix.gettimeofday] reads below are the repo's one sanctioned
-   use of the wall clock (rodcheck.allow: determinism/wallclock) —
-   measuring real elapsed time is exactly what a profiler is for. *)
-let time_replays sop log replays =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to replays do
-    let state = Executor.replay_state sop in
-    let stat = Executor.replay_stat sop in
-    List.iter
-      (fun (input_idx, tuple) ->
-        ignore (Executor.replay_process sop state stat input_idx tuple))
-      log
-  done;
-  Unix.gettimeofday () -. t0
+let unit_cost sop = List.assoc (Sop.kind sop) units
 
-let profile ?(replays = 20) network ~inputs =
-  if replays < 1 then invalid_arg "Profiler.profile: replays < 1";
-  let run = Executor.run ~record:true network ~inputs in
-  let logs =
-    match run.Executor.recorded with Some l -> l | None -> assert false
+(* The skeleton's selectivity 1 stands in for an operator that did no
+   work; its cost is the unit either way. *)
+let estimate sop (stat : Executor.op_run_stat) : Dsim.Calibrate.estimate =
+  let cost = unit_cost sop in
+  let selectivity work =
+    if work = 0 then 1. else float_of_int stat.emitted /. float_of_int work
   in
-  let m = Network.n_ops network in
-  let per_op =
-    Array.init m (fun j ->
-        let sop = Network.op network j in
-        let stat = run.Executor.stats.(j) in
-        let consumed = Array.fold_left ( + ) 0 stat.Executor.consumed in
-        let emitted = stat.Executor.emitted in
-        let pairs = stat.Executor.pairs in
-        let divisor =
-          match sop with Sop.Equi_join _ -> pairs | _ -> consumed
-        in
-        let cost =
-          if divisor = 0 then placeholder_cost
-          else
-            let elapsed = time_replays sop logs.(j) replays in
-            elapsed /. float_of_int (replays * divisor)
-        in
-        let selectivity =
-          if divisor = 0 then 1.
-          else float_of_int emitted /. float_of_int divisor
-        in
-        { cost; selectivity; consumed; emitted; pairs })
-  in
-  let cost_op j =
-    let sop = Network.op network j in
-    let p = per_op.(j) in
-    match sop with
-    | Sop.Filter _ | Sop.Map _ | Sop.Project _ | Sop.Distinct _ ->
-      Query.Op.filter ~name:(Sop.name sop) ~cost:p.cost ~sel:p.selectivity ()
-    | Sop.Aggregate _ ->
-      Query.Op.aggregate ~name:(Sop.name sop) ~cost:p.cost ~sel:p.selectivity ()
-    | Sop.Union { arity; _ } ->
-      Query.Op.union ~name:(Sop.name sop) ~cost:p.cost ~n_inputs:arity ()
-    | Sop.Equi_join { window; _ } ->
-      Query.Op.join ~name:(Sop.name sop) ~window ~cost_per_pair:p.cost
-        ~sel:p.selectivity ()
-  in
-  let graph =
-    Query.Graph.create
-      ~n_inputs:(Network.n_inputs network)
-      ~ops:(List.init m (fun j -> (cost_op j, Network.sources network j)))
-      ()
-  in
-  { graph; run; per_op }
+  match sop with
+  | Sop.Equi_join _ ->
+    {
+      costs = [| 0.; 0. |];
+      selectivities = [| 0.; 0. |];
+      cost_per_pair = Some cost;
+      sel_per_pair = Some (selectivity stat.pairs);
+      support = stat.pairs;
+    }
+  | _ ->
+    let consumed = Array.fold_left ( + ) 0 stat.consumed in
+    let arity = Sop.arity sop in
+    {
+      costs = Array.make arity cost;
+      selectivities = Array.make arity (selectivity consumed);
+      cost_per_pair = None;
+      sel_per_pair = None;
+      support = consumed;
+    }
 
-(* Same sanctioned wall-clock read, packaged as an injectable telemetry
-   clock (see the note above time_replays). *)
-let wall_clock = Obs.Clock.of_fun Unix.gettimeofday
+let profile network ~inputs =
+  let run = Executor.run network ~inputs in
+  let estimates =
+    Array.mapi
+      (fun j stat -> estimate (Network.op network j) stat)
+      run.Executor.stats
+  in
+  let skeleton =
+    Network.skeleton ~costs:(fun j -> unit_cost (Network.op network j)) network
+  in
+  { graph = Dsim.Calibrate.estimated_graph skeleton estimates; run; estimates }

@@ -1,42 +1,28 @@
 (** From a running network to a cost model — the §7.1 methodology on a
-    {e real} engine rather than the simulator: execute the network on
-    sample data, measure each operator's selectivity from exact
-    input/output counts and its per-tuple CPU cost by replaying its
-    recorded input log in a timing loop, and emit the {!Query.Graph}
-    that ROD plans on.
+    {e real} engine rather than the simulator: execute the network once
+    on sample data, count each operator's consumed tuples, candidate
+    pairs and outputs, and emit the {!Query.Graph} that ROD plans on.
 
-    Costs are wall-clock per tuple on the current machine, so absolute
-    values vary between hosts; placement only depends on their
-    {e ratios}, which are stable. *)
-
-type op_profile = {
-  cost : float;
-      (** Measured CPU seconds per input tuple (per candidate pair for
-          joins). *)
-  selectivity : float;
-      (** Output tuples per input tuple (per candidate pair for joins). *)
-  consumed : int;  (** Tuples observed during the sample run. *)
-  emitted : int;
-  pairs : int;  (** Joins only: candidate pairs examined. *)
-}
+    Load is a count, not a timing.  An operator's cost is its kind's
+    fixed {!unit_cost} per consumed tuple (per candidate pair for a
+    join); its selectivity is emitted over consumed tuples (over pairs
+    for a join).  The same network and sample always give the same
+    graph. *)
 
 type profile_result = {
   graph : Query.Graph.t;
-      (** Cost-model graph with measured parameters (operators that saw
-          no tuples keep placeholder values). *)
+      (** {!Network.skeleton} with unit costs, updated by [estimates]
+          through {!Dsim.Calibrate.estimated_graph}. *)
   run : Executor.result;  (** The sample run itself (outputs, counts). *)
-  per_op : op_profile array;
+  estimates : Dsim.Calibrate.estimate array;
+      (** One per operator.  An operator that saw no tuples (a join: no
+          candidate pairs) keeps its unit cost and selectivity 1. *)
 }
 
-val profile :
-  ?replays:int -> Network.t -> inputs:Tuple.t list array -> profile_result
-(** [replays] (default 20) controls how many times each operator's
-    recorded input is re-executed for timing; more replays, steadier
-    costs. *)
+val unit_cost : Sop.t -> float
+(* rodunits: cpu-sec *)
+(** CPU seconds charged per unit of counted work of the operator's
+    {!Sop.kind}: one consumed tuple, or one candidate pair for a join.
+    A fixed table, calibrated once against timed replays. *)
 
-val wall_clock : Obs.Clock.t
-(** Real elapsed time as an observability clock.  [Obs.set_clock
-    wall_clock] trades deterministic telemetry for true durations; the
-    underlying [Unix.gettimeofday] lives here because this module owns
-    the repo's sanctioned wall-clock reads (rodcheck.allow:
-    determinism/wallclock). *)
+val profile : Network.t -> inputs:Tuple.t list array -> profile_result

@@ -50,6 +50,15 @@ let name = function
   | Equi_join { name; _ }
   | Distinct { name; _ } -> name
 
+let kind = function
+  | Filter _ -> "filter"
+  | Map _ -> "map"
+  | Project _ -> "project"
+  | Union _ -> "union"
+  | Aggregate _ -> "aggregate"
+  | Equi_join _ -> "join"
+  | Distinct _ -> "distinct"
+
 let arity = function
   | Filter _ | Map _ | Project _ | Aggregate _ | Distinct _ -> 1
   | Union { arity; _ } -> arity

@@ -1,7 +1,7 @@
 (** Semantic stream operators — the executable counterparts of the cost
     model's operator kinds.  Where {!Query.Op} describes {e how much} an
     operator costs, an {!Sop.t} describes {e what it computes}; the
-    {!Profiler} bridges the two by measuring a running network. *)
+    {!Profiler} bridges the two by counting a running network. *)
 
 type aggregate_fn =
   | Count
@@ -65,6 +65,10 @@ type t =
     }
 
 val name : t -> string
+
+val kind : t -> string
+(** The operator's kind: ["filter"], ["map"], ["project"], ["union"],
+    ["aggregate"], ["join"] or ["distinct"]. *)
 
 val arity : t -> int
 

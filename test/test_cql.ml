@@ -316,7 +316,7 @@ let test_frontend_describe () =
         Alcotest.(check bool)
           (Printf.sprintf "describe mentions %s" needle)
           true (contains needle))
-      [ "packets"; "volP"; "output: slim" ]
+      [ "packets"; "volP"; "node 1: volP = aggregate"; "output: slim" ]
 
 let test_sliding_window_syntax () =
   let source =
@@ -527,7 +527,7 @@ let test_cql_to_placement () =
         Spe.Datagen.packets ~rng ~trace ~hosts:6 ();
       |]
     in
-    let profile = Spe.Profiler.profile ~replays:2 compiled.Cql.Compile.network ~inputs in
+    let profile = Spe.Profiler.profile compiled.Cql.Compile.network ~inputs in
     let problem =
       Rod.Problem.of_graph profile.Spe.Profiler.graph
         ~caps:(Rod.Problem.homogeneous_caps ~n:3 ~cap:1.)

@@ -81,14 +81,14 @@ let test_of_network_profiles () =
             [ ("v", Value.Float (float_of_int (i mod 10) /. 10.)) ]);
     |]
   in
-  let d = Deploy.of_network ~replays:2 ~network ~sample ~caps () in
+  let d = Deploy.of_network ~network ~sample ~caps () in
   Alcotest.(check bool) "profile attached" true (d.Deploy.profile <> None);
   Alcotest.(check bool) "network attached" true (d.Deploy.network <> None);
   (* Profiled selectivity of the filter is 0.4 (v in {0.6 .. 0.9}). *)
   match d.Deploy.profile with
   | Some p ->
     Alcotest.check (Alcotest.float 0.01) "measured selectivity" 0.4
-      p.Spe.Profiler.per_op.(0).Spe.Profiler.selectivity
+      p.Spe.Profiler.estimates.(0).Dsim.Calibrate.selectivities.(0)
   | None -> Alcotest.fail "no profile"
 
 let test_of_query_file () =
@@ -106,7 +106,7 @@ let test_of_query_file () =
               Tuple.make ~ts:(0.05 *. float_of_int i) [ ("v", Value.Int (i mod 20)) ]);
         |]
       in
-      match Deploy.of_query_file ~replays:2 ~path ~sample ~caps () with
+      match Deploy.of_query_file ~path ~sample ~caps () with
       | Error e -> Alcotest.failf "deploy failed: %s" e
       | Ok d ->
         Alcotest.(check int) "one operator" 1 (Array.length (Deploy.assignment d)));

@@ -106,6 +106,39 @@ let test_cheap_experiments_run () =
       | None -> Alcotest.failf "experiment %s missing" id)
     [ "fig2"; "fig5" ]
 
+(* EXPSPE's cost model is counted, not timed, so the whole report is
+   reproducible: two runs are byte-identical and the table is pinned. *)
+let test_expspe_golden () =
+  let render () =
+    let buffer = Buffer.create 4096 in
+    let fmt = Format.formatter_of_buffer buffer in
+    (match Experiments.Registry.find "expspe" with
+    | Some e -> e.Experiments.Registry.run ~quick:true fmt
+    | None -> Alcotest.fail "experiment expspe missing");
+    Format.pp_print_flush fmt ();
+    Buffer.contents buffer
+  in
+  let first = render () in
+  Alcotest.(check string) "two runs byte-identical" first (render ());
+  let rows =
+    List.filter
+      (fun line -> String.length line > 2 && String.sub line 0 2 = "| ")
+      (String.split_on_char '\n' first)
+  in
+  Alcotest.(check (list string))
+    "table rows"
+    [
+      "| scenario                     | sim util n0/n1 | engine util n0/n1 | \
+       sim outputs | engine outputs | max gap  |";
+      "| linear @ profiled rate       | 60.1% / 60.9%  | 59.9% / 60.9%     | \
+       492         | 456            | 0.2 pts  |";
+      "| linear, extrapolated 4x down | 14.4% / 14.7%  | 14.4% / 14.6%     | \
+       121         | 456            | 0.0 pts  |";
+      "| with join @ profiled rate    | 55.8% / 59.1%  | 55.4% / 70.7%     | \
+       439         | 660            | 11.6 pts |";
+    ]
+    rows
+
 let suite =
   [
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
@@ -115,4 +148,5 @@ let suite =
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "placers protocol" `Quick test_placers_protocol;
     Alcotest.test_case "cheap experiments run" `Quick test_cheap_experiments_run;
+    Alcotest.test_case "expspe golden" `Quick test_expspe_golden;
   ]

@@ -387,20 +387,24 @@ let sample_inputs ~n =
   |]
 
 let test_profiler_selectivities () =
-  let result = Spe.Profiler.profile ~replays:3 (sample_network ()) ~inputs:(sample_inputs ~n:400) in
-  let filter_profile = result.Spe.Profiler.per_op.(0) in
+  let network = sample_network () in
+  let result = Spe.Profiler.profile network ~inputs:(sample_inputs ~n:400) in
+  let filter_estimate = result.Spe.Profiler.estimates.(0) in
   Alcotest.check (approx 0.01) "filter selectivity = half" 0.5
-    filter_profile.Spe.Profiler.selectivity;
+    filter_estimate.Dsim.Calibrate.selectivities.(0);
+  Alcotest.check (approx 1e-15) "filter cost is the filter unit"
+    (Spe.Profiler.unit_cost (Network.op network 0))
+    filter_estimate.Dsim.Calibrate.costs.(0);
   Alcotest.(check bool) "filter cost positive" true
-    (filter_profile.Spe.Profiler.cost > 0.);
-  (* The profiled graph reproduces the measured selectivity. *)
+    (filter_estimate.Dsim.Calibrate.costs.(0) > 0.);
+  (* The profiled graph reproduces the counted selectivity. *)
   let op0 = Query.Graph.op result.Spe.Profiler.graph 0 in
   let linear = Query.Op.linear_exn op0 in
   Alcotest.check (approx 0.01) "graph selectivity" 0.5
     linear.Query.Op.selectivities.(0)
 
 let test_profiler_feeds_placement () =
-  let result = Spe.Profiler.profile ~replays:2 (sample_network ()) ~inputs:(sample_inputs ~n:200) in
+  let result = Spe.Profiler.profile (sample_network ()) ~inputs:(sample_inputs ~n:200) in
   let problem =
     Rod.Problem.of_graph result.Spe.Profiler.graph
       ~caps:(Rod.Problem.homogeneous_caps ~n:2 ~cap:1.)
@@ -424,14 +428,92 @@ let test_profiler_join_pairs () =
       List.init 100 (fun i -> news ~ts:(0.1 *. float_of_int i +. 0.05) ~symbol:"A");
     |]
   in
-  let result = Spe.Profiler.profile ~replays:2 network ~inputs in
-  let p = result.Spe.Profiler.per_op.(0) in
+  let result = Spe.Profiler.profile network ~inputs in
+  let e = result.Spe.Profiler.estimates.(0) in
   Alcotest.(check bool)
-    (Printf.sprintf "pairs counted (%d)" p.Spe.Profiler.pairs)
+    (Printf.sprintf "pairs counted (%d)" e.Dsim.Calibrate.support)
     true
-    (p.Spe.Profiler.pairs > 500);
+    (e.Dsim.Calibrate.support > 500);
   (* Everything matches (same symbol): selectivity per pair = 1. *)
-  Alcotest.check (approx 1e-9) "pair selectivity" 1. p.Spe.Profiler.selectivity
+  Alcotest.check (approx 1e-9) "pair selectivity" 1.
+    (Option.get e.Dsim.Calibrate.sel_per_pair)
+
+(* Profiling is counting: the same network and sample give the same
+   cost model, byte for byte. *)
+let test_profiler_deterministic () =
+  let profile () =
+    Query.Graph_io.to_string
+      (Spe.Profiler.profile (sample_network ()) ~inputs:(sample_inputs ~n:400))
+        .Spe.Profiler.graph
+  in
+  let first = profile () in
+  Alcotest.(check string) "same Graph_io text" first (profile ())
+
+(* Operators behind a filter that never passes see no tuples (the join:
+   no candidate pairs) and keep their kind's unit cost and
+   selectivity 1. *)
+let test_profiler_idle_operators () =
+  let aggregate =
+    Sop.aggregate ~name:"sum" ~window:1. [ ("total", Sop.Sum "a") ]
+  in
+  let join =
+    Sop.equi_join ~name:"match" ~window:2. ~left_key:"total"
+      ~right_key:"total" ()
+  in
+  let network =
+    Network.create ~n_inputs:2
+      ~ops:
+        [
+          ( Sop.filter ~name:"never" (fun t -> Tuple.number t "a" > 100000.),
+            [ Graph.Sys_input 0 ] );
+          (aggregate, [ Graph.Op_output 0 ]);
+          (join, [ Graph.Op_output 1; Graph.Sys_input 1 ]);
+        ]
+      ()
+  in
+  let feed k =
+    List.init 50 (fun i ->
+        Tuple.make
+          ~ts:(0.1 *. float_of_int i)
+          [ ("a", Value.Float (float_of_int (i + k))); ("total", Value.Float 1.) ])
+  in
+  let result = Spe.Profiler.profile network ~inputs:[| feed 0; feed 1 |] in
+  let estimates = result.Spe.Profiler.estimates in
+  Alcotest.(check int) "filter saw the feed" 50 estimates.(0).Dsim.Calibrate.support;
+  Alcotest.check (approx 1e-15) "filter passes nothing" 0.
+    estimates.(0).Dsim.Calibrate.selectivities.(0);
+  Alcotest.(check int) "aggregate saw nothing" 0 estimates.(1).Dsim.Calibrate.support;
+  Alcotest.(check int) "join saw no pairs" 0 estimates.(2).Dsim.Calibrate.support;
+  let graph = result.Spe.Profiler.graph in
+  let linear = Query.Op.linear_exn (Query.Graph.op graph 1) in
+  Alcotest.check (approx 1e-15) "aggregate keeps its unit cost"
+    (Spe.Profiler.unit_cost aggregate) linear.Query.Op.costs.(0);
+  Alcotest.check (approx 1e-15) "aggregate keeps selectivity 1" 1.
+    linear.Query.Op.selectivities.(0);
+  match (Query.Graph.op graph 2).Query.Op.kind with
+  | Query.Op.Join { cost_per_pair; sel_per_pair; _ } ->
+    Alcotest.check (approx 1e-15) "join keeps its unit cost"
+      (Spe.Profiler.unit_cost join) cost_per_pair;
+    Alcotest.check (approx 1e-15) "join keeps selectivity 1" 1. sel_per_pair
+  | _ -> Alcotest.fail "join op expected"
+
+(* Every operator kind has a unit in the table. *)
+let test_profiler_unit_table () =
+  List.iter
+    (fun sop ->
+      Alcotest.(check bool)
+        (Sop.kind sop ^ " has a positive unit")
+        true
+        (Spe.Profiler.unit_cost sop > 0.))
+    [
+      Sop.filter (fun _ -> true);
+      Sop.map (fun t -> t);
+      Sop.project [ "a" ];
+      Sop.union ~arity:2 ();
+      Sop.aggregate ~window:1. [ ("n", Sop.Count) ];
+      Sop.equi_join ~window:1. ~left_key:"a" ~right_key:"a" ();
+      Sop.distinct ~window:1. ~key:"a" ();
+    ]
 
 (* --- distributed semantic executor --- *)
 
@@ -966,6 +1048,9 @@ let suite =
     Alcotest.test_case "profiler selectivities" `Quick test_profiler_selectivities;
     Alcotest.test_case "profiler feeds placement" `Quick test_profiler_feeds_placement;
     Alcotest.test_case "profiler join pairs" `Quick test_profiler_join_pairs;
+    Alcotest.test_case "profiler deterministic" `Quick test_profiler_deterministic;
+    Alcotest.test_case "profiler idle operators" `Quick test_profiler_idle_operators;
+    Alcotest.test_case "profiler unit table" `Quick test_profiler_unit_table;
     Alcotest.test_case "dist executor matches logical" `Quick
       test_dist_executor_matches_logical;
     Alcotest.test_case "dist executor utilization" `Quick
