@@ -71,7 +71,8 @@ let micro_tests ?only () =
     Linalg.Mat.init 32 (Problem.dim problem100) (fun t k ->
         float_of_int (((t * 31) + (k * 17)) mod 97) /. 97.)
   in
-  let _, problem10k = fixture ~m:10000 ~d:5 ~n_nodes:256 in
+  let graph10k, problem10k = fixture ~m:10000 ~d:5 ~n_nodes:256 in
+  let assignment10k = Rod.Rod_algorithm.place problem10k in
   let rng = Random.State.make [| 7 |] in
   let keep test =
     match only with
@@ -156,8 +157,8 @@ let micro_tests ?only () =
            (* The local-search scorer build alone, at the default 2048
               samples: what every replan pays before it scores its
               first candidate. *)
-           (let assignment = Rod.Rod_algorithm.place problem10k in
-            fun () -> Rod.Local_search.make_scorer problem10k assignment 2048));
+           (fun () ->
+             Rod.Local_search.make_scorer problem10k assignment10k 2048));
       Test.make ~name:"place/LLF-m100"
         (Staged.stage (fun () -> Baselines.llf ~rates problem100));
       Test.make ~name:"place/connected-m100"
@@ -188,6 +189,27 @@ let micro_tests ?only () =
               Dynamic.Replanner.replan ~samples:1024 ~rates:drifted ~budget:3
                 ~cost_of:(fun _ -> 0.)
                 problem ~assignment));
+      Test.make ~name:"controller/replan-m10000-n256"
+        (Staged.stage
+           (* One budgeted replan at the end-to-end drift-replan size
+              (5 trees x 2000 operators, 256 nodes, 2048 samples) from
+              the ROD plan, at a point 2% past its boundary along a
+              stream-0-heavy direction: margin repair, then volume
+              polish. *)
+           (let direction =
+              Linalg.Vec.init (Problem.dim problem10k) (fun k ->
+                  if k = 0 then 3. else 1.)
+            in
+            let headroom =
+              (Dynamic.Margin.of_assignment problem10k
+                 ~assignment:assignment10k ~rates:direction)
+                .Dynamic.Margin.headroom
+            in
+            let rates = Linalg.Vec.scale (1.02 *. headroom) direction in
+            let cost_of = Dynamic.Statesize.graph_cost graph10k in
+            fun () ->
+              Dynamic.Replanner.replan ~samples:2048 ~rates ~budget:3 ~cost_of
+                problem10k ~assignment:assignment10k));
     ])
 
 (* Machine-readable twin of the plain-text table.  Since schema v2 the

@@ -34,16 +34,19 @@ type outcome = {
 
 (* Shared-sample scoring state, maintained incrementally: per-node,
    per-sample accumulated load and a per-sample count of capacity
-   violations (feasible iff zero).  The violation counts double as the
-   candidate-evaluation skip index: because [Problem.t] guarantees
-   nonnegative load coefficients (and the QMC rate points are
-   nonnegative), every per-sample contribution is >= 0, so removing an
+   violations (feasible iff zero), with the xor of the saturated nodes'
+   ids beside it (for v = 1 the saturated node; for v = 2 with one
+   member known, its xor with the owner is the other).  The violation
+   counts drive the candidate-evaluation skips: because [Problem.t]
+   guarantees nonnegative load coefficients (and the QMC rate points
+   are nonnegative), every per-sample contribution is >= 0, so removing an
    operator from a node can only lower that node's load and adding one
    can only raise it.  A relocation therefore changes a sample's
-   violation count by at most -1/+1 and a swap by at most -2/+2, which
-   is what lets the fused kernels skip samples whose feasibility
-   provably cannot flip ([violations >= 2] for relocations,
-   [violations >= 3] for swaps).
+   violation count by at most -1/+1 and a swap by at most -2/+2, so
+   only samples with [violations <= 1] can flip under a relocation
+   (and only those whose one saturated node is the operator's home can
+   turn feasible, which is what the per-node index serves) and only
+   samples with [violations <= 2] under a swap.
 
    Node loads start as the dot of each node's load vector (the sum of
    its operators' coefficient rows) with the QMC point.  No
@@ -60,12 +63,12 @@ type outcome = {
    sample loop.
 
    The sample dimension is sharded across the pool for the mutating
-   [shift] path and the fused relocation kernel: per-sample state lines
-   are touched by exactly one chunk, and every reduction is a sum of
-   per-chunk integers combined in chunk order, so every pool size
-   computes the same scores.  The swap evaluation path is read-only,
-   integer-exact and pruned down to a handful of samples, so it runs
-   sequentially. *)
+   [shift] path and the scalar [gain]/[swap_gain] primitives: per-sample
+   state lines are touched by exactly one chunk, and every reduction is
+   a sum of per-chunk integers combined in chunk order, so every pool
+   size computes the same scores.  The relocation and swap sweeps'
+   kernels are read-only, integer-exact and pruned down to the samples
+   that can flip, so they run sequentially. *)
 type scorer = {
   samples : int;
   n_nodes : int;
@@ -75,14 +78,33 @@ type scorer = {
   points : float array;  (* sample s -> QMC rate point at [s * dim] *)
   node_load : float array array;  (* node -> sample *)
   violations : int array;  (* sample -> number of saturated nodes *)
+  owner : int array;  (* sample -> xor of the saturated nodes' ids *)
   caps : Vec.t;
   assignment : int array;  (* shared with the caller; current homes *)
   mutable feasible : int;
-  (* Fused-kernel scratch, preallocated so the steady state allocates
-     nothing: chunk [c] of the relocation kernel writes only
-     [gain_chunks.(c)]; the reduced per-node gains land in [gains]. *)
-  gain_chunks : int array array;
-  gains : int array;
+  (* Saturated-node index, CSR over [n + 1] buckets in ascending [s]:
+     bucket [i < n] holds the v = 1 samples whose saturated node is
+     [i], bucket [n] the feasible (v = 0) samples.  Bucket [b] spans
+     [index.(index_start.(b)) .. index.(index_start.(b + 1) - 1)].
+     [shift] marks it stale; the next reader rebuilds it in
+     O(samples + n). *)
+  index_start : int array;  (* n + 2 *)
+  index_fill : int array;  (* n + 1; rebuild cursors *)
+  index : int array;  (* samples *)
+  mutable index_stale : bool;
+  (* [best_relocation] scratch, preallocated so a call allocates
+     nothing: the home-owned samples that un-saturate when j leaves
+     ([win_s], with j's contribution in [win_c]), per-target win
+     counts and the targets sorted by them, and j's contribution on
+     each feasible sample, stored at the sample's position in
+     [index]. *)
+  win_s : int array;
+  win_c : float array;
+  wins : int array;
+  rank : int array;  (* samples + 1; counting-sort buckets by wins *)
+  order : int array;  (* n; targets by wins descending *)
+  feas_c : float array;
+  mutable best_target : int;
   (* Swap-batch scratch for one (j1, current state) preparation: j1's
      contribution and the home-row subtraction shared across every
      partner j2, the violation delta of j1's removal, and the
@@ -119,10 +141,12 @@ let make_scorer ?pool problem assignment samples =
   let points = Array.make (samples * dim) 0. in
   let node_load = Array.init n (fun _ -> Array.make samples 0.) in
   let violations = Array.make samples 0 in
+  let owner = Array.make samples 0 in
   (* One fused pass per sample chunk: generate each QMC rate point into
      the shared block (the per-point scratch is hoisted out of the loop
      body), fill every node's load at it as the left-to-right dot of
-     L_i with the point, and count the violations.  Each (node, sample)
+     L_i with the point, and count the violations (xoring each
+     saturated node into the sample's owner).  Each (node, sample)
      cell is written by exactly one chunk. *)
   let feasible =
     Pool.map_reduce pool ~n:samples ~init:0 ~combine:( + ) ~map:(fun lo_s hi_s ->
@@ -142,13 +166,15 @@ let make_scorer ?pool problem assignment samples =
               acc := !acc +. (li.(k) *. point.(k))
             done;
             node_load.(i).(s) <- !acc;
-            if !acc > caps.(i) then violations.(s) <- violations.(s) + 1
+            if !acc > caps.(i) then begin
+              violations.(s) <- violations.(s) + 1;
+              owner.(s) <- owner.(s) lxor i
+            end
           done;
           if violations.(s) = 0 then incr feasible
         done;
         !feasible)
   in
-  let ways = Pool.ways pool in
   {
     samples;
     n_nodes = n;
@@ -158,11 +184,21 @@ let make_scorer ?pool problem assignment samples =
     points;
     node_load;
     violations;
+    owner;
     caps;
     assignment;
     feasible;
-    gain_chunks = Array.init ways (fun _ -> Array.make n 0);
-    gains = Array.make n 0;
+    index_start = Array.make (n + 2) 0;
+    index_fill = Array.make (n + 1) 0;
+    index = Array.make samples 0;
+    index_stale = true;
+    win_s = Array.make samples 0;
+    win_c = Array.make samples 0.;
+    wins = Array.make n 0;
+    rank = Array.make (samples + 1) 0;
+    order = Array.make n 0;
+    feas_c = Array.make samples 0.;
+    best_target = -1;
     swap_c1 = Array.make samples 0.;
     swap_a1 = Array.make samples 0.;
     swap_t1 = Array.make samples 0;
@@ -171,14 +207,16 @@ let make_scorer ?pool problem assignment samples =
   }
 
 (* Apply op j's contribution to node i with the given sign, keeping the
-   violation counters and feasible count consistent.  Chunks touch
-   disjoint sample ranges; the feasible delta is an exact integer sum,
-   so the parallel result is identical to the sequential one. *)
+   violation counters, owners and feasible count consistent, and
+   marking the saturated-node index stale.  Chunks touch disjoint
+   sample ranges; the feasible delta is an exact integer sum, so the
+   parallel result is identical to the sequential one. *)
 let shift scorer j i sign =
   let load = scorer.node_load.(i) and row = scorer.lo.(j) in
   let points = scorer.points and dim = scorer.dim in
   let cap = scorer.caps.(i) in
-  let violations = scorer.violations in
+  let violations = scorer.violations and owner = scorer.owner in
+  scorer.index_stale <- true;
   let delta =
     Pool.map_reduce scorer.pool ~n:scorer.samples ~init:0 ~combine:( + )
       ~map:(fun lo hi ->
@@ -195,10 +233,12 @@ let shift scorer j i sign =
           load.(s) <- after;
           if before <= cap && after > cap then begin
             if violations.(s) = 0 then decr delta;
-            violations.(s) <- violations.(s) + 1
+            violations.(s) <- violations.(s) + 1;
+            owner.(s) <- owner.(s) lxor i
           end
           else if before > cap && after <= cap then begin
             violations.(s) <- violations.(s) - 1;
+            owner.(s) <- owner.(s) lxor i;
             if violations.(s) = 0 then incr delta
           end
         done;
@@ -289,7 +329,7 @@ let swap_gain scorer j1 j2 =
         (* |Δv| <= 4 across the four steps but the two removals can
            lower it by at most 2, so v >= 5 is inert; with nonnegative
            contributions v >= 3 already is, and that is the bound the
-           fused sweep uses.  The primitive keeps the sign-agnostic
+           swap sweep uses.  The primitive keeps the sign-agnostic
            bound for symmetry with the arms below. *)
         if v < 5 then begin
           let base = s * dim in
@@ -334,107 +374,188 @@ let swap_gain scorer j1 j2 =
       done;
       !delta)
 
-(* Upper bound on any relocation gain for operator [j]: a sample can
-   only become feasible if it has exactly one saturated node, that node
-   is j's home, and removing j's contribution un-saturates it.  The
-   count of such samples bounds [relocation_gains] from above, so zero
-   means no candidate target can improve and the fused kernel can be
-   skipped wholesale. *)
-let relocation_positive_bound scorer j =
+(* Rebuild the saturated-node index when a shift has touched the
+   violations since the last rebuild: one counting pass, one prefix
+   sum, one placing pass, each in ascending [s]. *)
+let refresh_index scorer =
+  if scorer.index_stale then begin
+    let n = scorer.n_nodes in
+    let start = scorer.index_start and fill = scorer.index_fill in
+    let index = scorer.index in
+    let violations = scorer.violations and owner = scorer.owner in
+    Array.fill start 0 (n + 2) 0;
+    for s = 0 to scorer.samples - 1 do
+      let v = violations.(s) in
+      if v = 0 then start.(n + 1) <- start.(n + 1) + 1
+      else if v = 1 then begin
+        let b = owner.(s) + 1 in
+        start.(b) <- start.(b) + 1
+      end
+    done;
+    for b = 1 to n + 1 do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    Array.blit start 0 fill 0 (n + 1);
+    for s = 0 to scorer.samples - 1 do
+      let v = violations.(s) in
+      if v <= 1 then begin
+        let b = if v = 0 then n else owner.(s) in
+        index.(fill.(b)) <- s;
+        fill.(b) <- fill.(b) + 1
+      end
+    done;
+    scorer.index_stale <- false
+  end
+
+(* The samples a relocation of [j] can turn feasible: exactly one
+   saturated node, that node j's home, and removing j's contribution
+   un-saturates it.  They are the home's index bucket filtered by the
+   removal test; each lands in [win_s] with j's contribution in
+   [win_c].  Returns their count. *)
+let collect_wins scorer j =
+  refresh_index scorer;
   let home = scorer.assignment.(j) in
   let load = scorer.node_load.(home) and row = scorer.lo.(j) in
   let points = scorer.points and dim = scorer.dim in
   let cap = scorer.caps.(home) in
-  let violations = scorer.violations in
+  let index = scorer.index in
+  let win_s = scorer.win_s and win_c = scorer.win_c in
   let count = ref 0 in
   let acc = ref 0. in
-  for s = 0 to scorer.samples - 1 do
-    if violations.(s) = 1 then begin
-      let h = load.(s) in
-      if h > cap then begin
-        let base = s * dim in
-        acc := 0.;
-        for k = 0 to dim - 1 do
-          acc := !acc +. (row.(k) *. points.(base + k))
-        done;
-        if h -. !acc <= cap then incr count
-      end
+  for k = scorer.index_start.(home) to scorer.index_start.(home + 1) - 1 do
+    let s = index.(k) in
+    let base = s * dim in
+    acc := 0.;
+    for d = 0 to dim - 1 do
+      acc := !acc +. (row.(d) *. points.(base + d))
+    done;
+    if load.(s) -. !acc <= cap then begin
+      win_s.(!count) <- s;
+      win_c.(!count) <- !acc;
+      incr count
     end
   done;
   !count
 
-(* Fused relocation kernel: the feasibility delta of moving [j] to
-   every target node, in one pass over the sample dimension (one pool
-   dispatch per operator instead of one per candidate).  Per sample the
-   home-row subtraction and its violation transition are computed once
-   and shared across all n candidates; the violation index skips
-   samples that provably cannot flip:
+(* Upper bound on any relocation gain for operator [j]: the count of
+   samples that can turn feasible, read off the home node's bucket of
+   the saturated-node index.  Zero proves no target can improve. *)
+let relocation_positive_bound scorer j = collect_wins scorer j
 
-   - v >= 2: a relocation changes v by at most -1/+1 (contributions are
-     nonnegative, so the removal never saturates and the addition never
-     un-saturates a node), hence v' >= 1 and the sample stays
-     infeasible — delta 0 for every candidate.
-   - v = 1: a candidate gains +1 exactly when j's removal un-saturates
-     the home node (the unique saturated one) and the addition does not
-     saturate the target; anything else leaves the sample infeasible.
-   - v = 0: a candidate loses 1 exactly when the addition saturates the
-     target (the removal cannot saturate the home).
+(* The best relocation of [j], read-only.  The gain of target [i] is
+   [wins.(i) - losses(i)]:
 
-   The per-candidate deltas are exact integers accumulated into
-   per-chunk scratch rows and reduced in chunk order, so the result is
-   identical for every pool size, and equals [gain scorer j ~to_node:i]
-   for every i.  The returned array is scorer-owned scratch, valid
-   until the next call. *)
-let relocation_gains scorer j =
-  let n = scorer.n_nodes in
-  let home = scorer.assignment.(j) in
-  let home_row = scorer.node_load.(home) and row_j = scorer.lo.(j) in
-  let points = scorer.points and dim = scorer.dim in
-  let cap_h = scorer.caps.(home) in
-  let node_load = scorer.node_load and caps = scorer.caps in
-  let violations = scorer.violations in
-  let gain_chunks = scorer.gain_chunks in
-  ignore
-    (Pool.map_chunks_i scorer.pool ~n:scorer.samples (fun c lo hi ->
-         let row = gain_chunks.(c) in
-         Array.fill row 0 n 0;
-         let acc = ref 0. in
-         for s = lo to hi - 1 do
-           let v = violations.(s) in
-           (* A v = 1 sample whose saturated node is not the home cannot
-              flip, so only the v = 0 and home-saturated v = 1 samples
-              need j's contribution. *)
-           if v = 0 || (v = 1 && home_row.(s) > cap_h) then begin
-             let base = s * dim in
-             acc := 0.;
-             for k = 0 to dim - 1 do
-               acc := !acc +. (row_j.(k) *. points.(base + k))
-             done;
-             let cs = !acc in
-             if v = 0 then begin
-               if cs > 0. then
-                 for i = 0 to n - 1 do
-                   if i <> home && node_load.(i).(s) +. cs > caps.(i) then
-                     row.(i) <- row.(i) - 1
-                 done
-             end
-             else if home_row.(s) -. cs <= cap_h then
-               for i = 0 to n - 1 do
-                 if i <> home && not (node_load.(i).(s) +. cs > caps.(i)) then
-                   row.(i) <- row.(i) + 1
-               done
-           end
-         done));
-  let gains = scorer.gains in
-  Array.fill gains 0 n 0;
-  let chunks = Array.length gain_chunks in
-  for c = 0 to chunks - 1 do
-    let row = gain_chunks.(c) in
+   - a sample with v >= 2, or v = 1 saturated elsewhere than the home,
+     stays infeasible (contributions are nonnegative, so a relocation
+     moves v by at most -1/+1 and only the home can un-saturate);
+   - a win is a collected sample on which adding j's contribution
+     leaves [i] unsaturated;
+   - a loss is a feasible sample on which adding it saturates [i] (the
+     removal cannot saturate the home).
+
+   These are the tests [gain] makes, on the same float expressions, so
+   the counts are exact.  Wins per target cost O(W * n), their
+   counting sort O(W + n).  Targets are visited by wins descending,
+   index ascending; [i] can still win only
+   if its gain beats the best so far, or ties it from a lower index, so
+   its loss count stops as soon as the losses rule that out, and the
+   search stops once the wins alone fall below the best.  j's
+   contribution on the feasible samples is computed once, on the first
+   loss count. *)
+let best_relocation scorer j =
+  let w = collect_wins scorer j in
+  scorer.best_target <- -1;
+  if w = 0 then 0
+  else begin
+    let n = scorer.n_nodes in
+    let home = scorer.assignment.(j) in
+    let node_load = scorer.node_load and caps = scorer.caps in
+    let win_s = scorer.win_s and win_c = scorer.win_c in
+    let wins = scorer.wins in
+    Array.fill wins 0 n 0;
+    for k = 0 to w - 1 do
+      let s = win_s.(k) and c = win_c.(k) in
+      for i = 0 to n - 1 do
+        if not (node_load.(i).(s) +. c > caps.(i)) then wins.(i) <- wins.(i) + 1
+      done
+    done;
+    wins.(home) <- 0;
+    (* Counting sort of the targets that win any sample into [order],
+       by (wins descending, index ascending): rank [r] holds wins
+       [w - r]. *)
+    let rank = scorer.rank and order = scorer.order in
+    Array.fill rank 0 (w + 1) 0;
+    let ranked = ref 0 in
     for i = 0 to n - 1 do
-      gains.(i) <- gains.(i) + row.(i)
-    done
-  done;
-  gains
+      let wi = wins.(i) in
+      if wi > 0 then begin
+        rank.(w - wi) <- rank.(w - wi) + 1;
+        incr ranked
+      end
+    done;
+    let sum = ref 0 in
+    for r = 0 to w do
+      let count = rank.(r) in
+      rank.(r) <- !sum;
+      sum := !sum + count
+    done;
+    for i = 0 to n - 1 do
+      let wi = wins.(i) in
+      if wi > 0 then begin
+        let r = w - wi in
+        order.(rank.(r)) <- i;
+        rank.(r) <- rank.(r) + 1
+      end
+    done;
+    let index = scorer.index and feas_c = scorer.feas_c in
+    let f0 = scorer.index_start.(n) and f1 = scorer.index_start.(n + 1) in
+    let row = scorer.lo.(j) and points = scorer.points and dim = scorer.dim in
+    let contributions = ref false in
+    let acc = ref 0. in
+    let best = ref 0 and best_i = ref (-1) in
+    let losses = ref 0 and k = ref 0 in
+    let p = ref 0 in
+    while !p < !ranked && wins.(order.(!p)) >= !best do
+      let i = order.(!p) in
+      let wi = wins.(i) in
+      (* The fewest gains [i] needs to take over from the best. *)
+      let need = if !best_i >= 0 && i < !best_i then !best else !best + 1 in
+      let slack = wi - need in
+      if slack >= 0 then begin
+        if not !contributions then begin
+          for q = f0 to f1 - 1 do
+            let base = index.(q) * dim in
+            acc := 0.;
+            for d = 0 to dim - 1 do
+              acc := !acc +. (row.(d) *. points.(base + d))
+            done;
+            feas_c.(q) <- !acc
+          done;
+          contributions := true
+        end;
+        let load = node_load.(i) and cap = caps.(i) in
+        losses := 0;
+        k := f0;
+        while !losses <= slack && !k < f1 do
+          if load.(index.(!k)) +. feas_c.(!k) > cap then incr losses;
+          incr k
+        done;
+        if !losses <= slack then begin
+          best := wi - !losses;
+          best_i := i
+        end
+      end;
+      incr p
+    done;
+    scorer.best_target <- !best_i;
+    !best
+  end
+
+let best_target scorer = scorer.best_target
+
+let sample_violations scorer s = scorer.violations.(s)
+
+let sample_load scorer ~node s = scorer.node_load.(node).(s)
 
 (* Prepare the swap batch for [j1] against the current state: collect
    the samples where a swap could possibly gain feasibility, then, only
@@ -588,34 +709,18 @@ let improve ?pool ?(samples = 2048) ?(max_passes = 20) problem assignment =
   let swaps_applied = ref 0 in
   let rejected = ref 0 in
   (* One sweep of single-operator relocations; best-of-n per operator,
-     applied immediately when it gains.  Candidates are scored by the
-     fused read-only kernel — one pool dispatch per operator instead of
-     four per (operator, node) pair — and skipped wholesale when the
-     positive bound proves no target can gain. *)
+     applied immediately when it gains.  [best_relocation] scores the
+     targets read-only from the saturated-node index, resolving ties to
+     the lowest target index like the mutate-and-undo sweep did. *)
   let relocation_sweep () =
     let any = ref false in
-    let best_node = ref 0 in
-    let best_gain = ref 0 in
     for j = 0 to m - 1 do
       let home = assignment.(j) in
       let tried = n - 1 in
-      best_node := home;
-      if relocation_positive_bound scorer j > 0 then begin
-        let gains = relocation_gains scorer j in
-        best_gain := 0;
-        (* Ascending scan with a strict improvement test resolves ties
-           to the lowest target index, like the mutate-and-undo sweep
-           did. *)
-        for i = 0 to n - 1 do
-          if i <> home && gains.(i) > !best_gain then begin
-            best_gain := gains.(i);
-            best_node := i
-          end
-        done
-      end;
-      if !best_node <> home then begin
-        move scorer j ~from_node:home ~to_node:!best_node;
-        assignment.(j) <- !best_node;
+      if best_relocation scorer j > 0 then begin
+        let target = scorer.best_target in
+        move scorer j ~from_node:home ~to_node:target;
+        assignment.(j) <- target;
         incr moves;
         incr relocations_applied;
         rejected := !rejected + tried - 1;

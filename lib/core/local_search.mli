@@ -10,28 +10,34 @@
     suggests resilient placement as a good {e initial} plan, and this is
     the natural refinement step.
 
-    Candidate evaluation is {e read-only and fused}: a relocation sweep
-    scores all [n] targets of an operator in one pass over the sample
-    dimension via {!relocation_gains} (one pool dispatch per operator,
-    not one per candidate), and swap sweeps run against a per-operator
-    batch whose candidate-sample list is pruned by the per-sample
-    violation counts.  The scorer state is only written when a move is
-    actually applied ({!move}).  A sample with [v] saturated nodes can
-    change feasibility only if [v <= 1] under a relocation or [v <= 2]
-    under a swap (load contributions are nonnegative by the
-    {!Problem.t} invariants), which is what the skip index exploits.
+    Candidate evaluation is {e read-only}: the scorer state is only
+    written when a move is actually applied ({!move}).  A sample with
+    [v] saturated nodes can change feasibility only if [v <= 1] under a
+    relocation or [v <= 2] under a swap (load contributions are
+    nonnegative by the {!Problem.t} invariants).  The scorer keeps, per
+    sample, [v] and the xor of the saturated nodes' ids (the node
+    itself when [v = 1]), and indexes the [v = 1] samples by their
+    saturated node: only a sample in an operator's home bucket can turn
+    feasible under its relocation.  {!best_relocation} scores an
+    operator's targets from that bucket, and swap sweeps run against a
+    per-operator batch whose candidate-sample list is pruned by the
+    violation counts.
 
     Complexity: building the scorer is [O(m * d + n * samples * d)]:
     each node's load vector [L_i] is summed once from its operators'
     rows, and a node's load on a sample is one [d]-term dot of [L_i]
-    with the QMC point.  A relocation sweep is
-    [O(m * (samples + active * n))] where [active] counts samples with
-    [v <= 1]; swap sweeps are [O(m * samples + m^2 * candidates)] with
+    with the QMC point.  A move is [O(samples * d)] and leaves the
+    saturated-node index stale; the next relocation query rebuilds it in
+    [O(samples + n)].  A relocation sweep costs, per operator,
+    [O(H * d)] for its home bucket of size [H], then, only when some
+    sample can flip ([W > 0] of them), [O(W * n + F * d)] plus one
+    early-exit loss count over the [F] feasible samples per visited
+    target.  Swap sweeps are [O(m * samples + m^2 * candidates)] with
     [candidates] the usually tiny per-batch gain-candidate list, and run
-    only when relocations are exhausted.  Each sweep's [samples] term
-    carries a factor [d]: an operator's load on a sample is recomputed
-    from the point block as a [d]-term dot wherever a kernel needs it.
-    The search ends after a pass that finds no improving move.
+    only when relocations are exhausted; their [samples] term carries a
+    factor [d]: an operator's load on a sample is recomputed from the
+    point block as a [d]-term dot wherever a kernel needs it.  The
+    search ends after a pass that finds no improving move.
 
     Memory: [O(n * samples + samples * d)] for the scorer, independent
     of [m] beyond the assignment itself. *)
@@ -47,9 +53,10 @@ type outcome = {
 (** {1 Incremental scorer}
 
     The shared-sample scoring state: the QMC point block, per-node
-    accumulated loads, per-sample violation counts and the running
-    feasible total.  Exposed so equivalence
-    tests (and future replanners) can drive the primitives directly. *)
+    accumulated loads, per-sample violation counts and saturated-node
+    owners, the index of single-saturation samples by node, and the
+    running feasible total.  Exposed so the equivalence tests and the
+    replanner can drive the primitives directly. *)
 
 type scorer
 
@@ -64,9 +71,11 @@ val make_scorer :
     {!Plan.node_loads} does), then one fused pass generates the
     [samples x d] QMC point block, which the scorer keeps, and sets
     each node's load on each sample to the left-to-right dot of [L_i]
-    with the point: [O(m * d + n * samples * d)].  No per-operator
-    contribution table is built; every kernel recomputes an operator's
-    contribution where it needs one.  Defaults to the global pool.
+    with the point: [O(m * d + n * samples * d)], recording each
+    sample's violation count and the xor of its saturated nodes' ids.
+    No per-operator contribution table is built; every kernel
+    recomputes an operator's contribution where it needs one.  Defaults
+    to the global pool.
     Raises [Invalid_argument] when [samples <= 0]. *)
 
 val feasible : scorer -> int
@@ -76,8 +85,10 @@ val n_samples : scorer -> int
 
 val move : scorer -> int -> from_node:int -> to_node:int -> unit
 (** Apply operator [j]'s relocation, updating node loads, violation
-    counts and the feasible total incrementally (two shifts, sharded
-    over the pool; exact integer reduction). *)
+    counts, saturated-node owners and the feasible total incrementally
+    (two shifts, sharded over the pool; exact integer reduction).  The
+    index of single-saturation samples is rebuilt lazily, by the next
+    {!relocation_positive_bound} or {!best_relocation}. *)
 
 val gain : scorer -> int -> to_node:int -> int
 (** [gain scorer j ~to_node] is the feasibility delta a
@@ -92,16 +103,38 @@ val swap_gain : scorer -> int -> int -> int
     swap sweep), read-only.  Raises [Invalid_argument] when they share
     a node. *)
 
-val relocation_gains : scorer -> int -> int array
-(** Fused kernel: [gain scorer j ~to_node:i] for every node [i] in one
-    pass over the samples ([0] at [j]'s current node).  The returned
-    array is scorer-owned scratch, valid until the next call. *)
-
 val relocation_positive_bound : scorer -> int -> int
-(** Upper bound on [Array.fold_left max 0 (relocation_gains scorer j)]:
-    the number of samples whose feasibility could possibly flip to
-    feasible under any relocation of [j].  [0] proves no improving
-    target exists, letting sweeps skip the kernel entirely. *)
+(** Upper bound on every [gain scorer j ~to_node:i]: the number of
+    samples that a relocation of [j] could turn feasible — exactly one
+    saturated node, that node [j]'s home, and removing [j]'s
+    contribution un-saturates it.  Only the home node's bucket of the
+    saturated-node index is visited.  [0] proves no improving target
+    exists. *)
+
+val best_relocation : scorer -> int -> int
+(** [best_relocation scorer j] is the largest positive
+    [gain scorer j ~to_node:i] over the targets [i], or [0] when no
+    target gains; {!best_target} then names the lowest target index
+    that reaches it.  Read-only and sequential; it allocates nothing.
+    Targets are visited by their count of winnable samples, descending,
+    and each one's losses over the feasible samples are counted only
+    until the target can neither beat nor tie the best so far, so the
+    result is the argmax a full scan of [gain] would find, at a fraction
+    of its cost. *)
+
+val best_target : scorer -> int
+(** The target found by the last {!best_relocation} call, or [-1] when
+    it found none; valid until the next call. *)
+
+val sample_violations : scorer -> int -> int
+(** [sample_violations scorer s]: number of saturated nodes on sample
+    [s] under the current state.  With {!sample_load}, what a
+    full-sample oracle needs to recount a kernel's answer. *)
+
+val sample_load : scorer -> node:int -> int -> float
+(* rodunits: cpu-sec/sim-sec *)
+(** [sample_load scorer ~node s]: [node]'s accumulated load on sample
+    [s], the value every kernel reads. *)
 
 (** {1 Search} *)
 
@@ -116,9 +149,9 @@ val improve :
     passes).  The result's ratio is measured on the same sample as
     {!Optimal.ratio_of_assignment}, so values are directly comparable.
     The scorer's sample dimension is sharded across [pool] (default
-    {!Parallel.Pool.global}); move acceptance stays sequential, the
-    fused kernels reduce per-chunk integers in chunk order, and the
-    swap batch evaluation is integer-exact, so the outcome —
+    {!Parallel.Pool.global}); move acceptance and candidate scoring
+    stay sequential, and the sharded move path reduces per-chunk
+    integers in chunk order, so the outcome —
     assignment, ratio, move and pass counts — is identical for every
     pool size, and identical to the historical mutate-and-undo
     evaluation (the equivalence suite pins both). *)

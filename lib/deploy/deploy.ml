@@ -154,9 +154,12 @@ let replan ?pool ?samples ?(budget = 3) ?cost_of t ~rates =
                 ~caps:t.problem.Rod.Problem.caps)
         in
         Analysis.Plan_check.assert_ok ~what:"replanned deployment" analysis;
-        let plan =
-          Rod.Plan.make t.problem outcome.Dynamic.Replanner.assignment
-        in
+        let assignment = Rod.Plan.assignment t.plan in
+        List.iter
+          (fun (mv : Dynamic.Replanner.move) ->
+            assignment.(mv.Dynamic.Replanner.op) <- mv.Dynamic.Replanner.to_node)
+          outcome.Dynamic.Replanner.moves;
+        let plan = Rod.Plan.make t.problem assignment in
         let est = Rod.Plan.volume_qmc plan in
         Obs.Counter.incr obs_deploys;
         Obs.Gauge.set obs_ratio est.Feasible.Volume.ratio;

@@ -97,7 +97,8 @@ val replan :
     migrations priced by [cost_of] (default
     {!Dynamic.Statesize.graph_cost} on the deployed graph), and — when
     the replan is accepted — the static analysis gate re-admits the
-    model before the deployment is rebuilt around the new plan.  A
+    model before the deployment is rebuilt around the new plan, the
+    outcome's moves replayed on the deployed assignment.  A
     rejected replan returns the deployment unchanged.  The outcome's
     margins/ratios say why. *)
 

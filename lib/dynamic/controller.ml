@@ -139,9 +139,11 @@ let observe t ~time ~rates ~assignment =
             t.problem ~assignment:t.assignment)
     in
     if outcome.Replanner.accepted then begin
-      (* rodproto: gated-by Dynamic.Controller.create — replans refine the admitted model *)
-      Array.blit outcome.Replanner.assignment 0 t.assignment 0
-        (Array.length t.assignment);
+      List.iter
+        (fun (mv : Replanner.move) ->
+          (* rodproto: gated-by Dynamic.Controller.create — replans refine the admitted model *)
+          t.assignment.(mv.Replanner.op) <- mv.Replanner.to_node)
+        outcome.Replanner.moves;
       Obs.Counter.incr obs_replans;
       Obs.Counter.add obs_moves (List.length outcome.Replanner.moves);
       record (Replanned outcome);

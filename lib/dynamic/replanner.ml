@@ -14,7 +14,6 @@ type move = {
 type outcome = {
   accepted : bool;
   moves : move list;
-  assignment : int array;
   ratio_before : float;
   ratio_after : float;
   margin_before : Margin.t option;
@@ -40,7 +39,12 @@ let max_utilization = Array.fold_left Float.max 0.
 (* Phase 1: while the placement is infeasible at [rates], move the
    operator off the hottest node whose relocation minimizes the
    resulting maximum utilization.  Strict improvement required;
-   first-found tie-break (lowest op, then lowest node). *)
+   first-found tie-break (lowest op, then lowest node).  Of the nodes
+   other than [hot] and the target [i], a candidate's resulting maximum
+   needs only the largest utilization: the largest off [hot], or the
+   second largest when the largest sits on [i].  Both are found once
+   per step; a max is order-independent, so this equals the fold over
+   every other node. *)
 let repair_margin problem scorer ~assignment ~rates ~cost_of budget =
   let caps = problem.Rod.Problem.caps in
   let m = Rod.Problem.n_ops problem in
@@ -56,6 +60,18 @@ let repair_margin problem scorer ~assignment ~rates ~cost_of budget =
       let hot = ref 0 in
       Array.iteri (fun i ui -> if ui > u.(!hot) then hot := i) u;
       let hot = !hot in
+      let top1 = ref Float.neg_infinity and top1_at = ref (-1) in
+      let top2 = ref Float.neg_infinity in
+      Array.iteri
+        (fun k uk ->
+          if k <> hot then
+            if uk > !top1 then begin
+              top2 := !top1;
+              top1 := uk;
+              top1_at := k
+            end
+            else if uk > !top2 then top2 := uk)
+        u;
       (* Best (resulting-max, op, dest); strict [<] keeps the first. *)
       let best = ref None in
       for j = 0 to m - 1 do
@@ -65,15 +81,13 @@ let repair_margin problem scorer ~assignment ~rates ~cost_of budget =
             if i <> hot then begin
               let u_hot = u.(hot) -. (demand /. caps.(hot))
               and u_dst = u.(i) +. (demand /. caps.(i)) in
-              let nm = ref (Float.max u_hot u_dst) in
-              Array.iteri
-                (fun k uk -> if k <> hot && k <> i then nm := Float.max !nm uk)
-                u;
+              let rest = if i = !top1_at then !top2 else !top1 in
+              let nm = Float.max (Float.max u_hot u_dst) rest in
               if
-                !nm < cur
+                nm < cur
                 &&
-                match !best with Some (bm, _, _) -> !nm < bm | None -> true
-              then best := Some (!nm, j, i)
+                match !best with Some (bm, _, _) -> nm < bm | None -> true
+              then best := Some (nm, j, i)
             end
           done
         end
@@ -94,11 +108,13 @@ let repair_margin problem scorer ~assignment ~rates ~cost_of budget =
 
 (* Phase 2: greedy positive-gain relocations ranked by
    gain / (1 + cost).  [relocation_positive_bound] proves most
-   operators skippable; its bound also prunes sweeps that cannot beat
-   the running best.  First-found tie-break. *)
+   operators skippable; its bound also prunes operators that cannot
+   beat the running best, and [best_relocation] scores the rest.  Costs
+   are finite and nonnegative, so an operator's score grows with its
+   gain and its best target is [best_relocation]'s.  First-found
+   tie-break (lowest op, then lowest node). *)
 let polish_volume problem scorer ~assignment ~cost_of budget =
   let m = Rod.Problem.n_ops problem in
-  let n = Rod.Problem.n_nodes problem in
   let acc = ref [] in
   let budget = ref budget in
   let continue_ = ref true in
@@ -115,16 +131,13 @@ let polish_volume problem scorer ~assignment ~cost_of budget =
         | None -> bound > 0
       in
       if beats_best then begin
-        let gains = Local_search.relocation_gains scorer j in
-        for i = 0 to n - 1 do
-          let g = gains.(i) in
-          if g > 0 then begin
-            let score = float_of_int g /. denom in
-            match !best with
-            | Some (bs, _, _, _) when score <= bs -> ()
-            | _ -> best := Some (score, g, j, i)
-          end
-        done
+        let g = Local_search.best_relocation scorer j in
+        if g > 0 then begin
+          let score = float_of_int g /. denom in
+          match !best with
+          | Some (bs, _, _, _) when score <= bs -> ()
+          | _ -> best := Some (score, g, j, Local_search.best_target scorer)
+        end
       end
     done;
     match !best with
@@ -202,7 +215,6 @@ let replan ?pool ?(samples = 2048) ?rates ~budget ~cost_of problem ~assignment =
         {
           accepted = true;
           moves;
-          assignment = working;
           ratio_before = float_of_int feas_before /. float_of_int n_samples;
           ratio_after = float_of_int feas_after /. float_of_int n_samples;
           margin_before;
@@ -234,7 +246,6 @@ let replan ?pool ?(samples = 2048) ?rates ~budget ~cost_of problem ~assignment =
       {
         accepted = false;
         moves = [];
-        assignment = Array.copy assignment;
         ratio_before = ratio;
         ratio_after = ratio;
         margin_before;

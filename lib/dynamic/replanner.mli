@@ -39,13 +39,16 @@ type move = {
 
 type outcome = {
   accepted : bool;
-  moves : move list;  (** In application order; [[]] when rejected. *)
-  assignment : int array;
-      (** Resulting assignment (the original when rejected). *)
+  moves : move list;
+      (** In application order; [[]] when rejected.  The outcome holds
+          no assignment: replaying the moves on a copy of the input,
+          [List.iter (fun mv -> a.(mv.op) <- mv.to_node) moves], gives
+          the replanned one ([Deploy.replan] and {!Controller} apply
+          them so).  A rejected replan leaves the input as it was. *)
   ratio_before : float; (* rodunits: 1 *)
       (** Feasible QMC ratio of the input placement. *)
   ratio_after : float; (* rodunits: 1 *)
-      (** Ratio of [assignment] on the same sample. *)
+      (** Ratio of the replanned assignment on the same sample. *)
   margin_before : Margin.t option;  (** Present iff [rates] was given. *)
   margin_after : Margin.t option;
   samples : int;  (** Shared QMC sample size the ratios are measured on. *)
@@ -69,3 +72,17 @@ val replan :
     The input assignment is not mutated.  Raises [Invalid_argument] on
     a malformed assignment, negative budget, nonpositive sample count,
     or rates of the wrong dimension. *)
+
+val repair_margin :
+  Rod.Problem.t ->
+  Rod.Local_search.scorer ->
+  assignment:int array ->
+  rates:Linalg.Vec.t ->
+  cost_of:(int -> float) ->
+  int ->
+  int * move list
+(** The margin-repair phase alone, exposed for the equivalence suite:
+    [repair_margin problem scorer ~assignment ~rates ~cost_of budget]
+    applies its moves to [assignment] and to [scorer] (which must read
+    that array) and returns the unspent budget with the moves in
+    application order.  Each step is [O(m * d + hot_ops * n)]. *)

@@ -63,7 +63,7 @@ let replan_instance (lo, caps, rate_scale, budget) =
 let prop_budget_respected =
   QCheck.Test.make ~name:"replanner never exceeds its budget" ~count:60
     arbitrary_instance (fun inst ->
-      let problem, assignment, _, budget, o = replan_instance inst in
+      let problem, assignment, rates, budget, o = replan_instance inst in
       let n = Problem.n_nodes problem in
       List.length o.Replanner.moves <= budget
       && List.for_all
@@ -75,21 +75,36 @@ let prop_budget_respected =
              && mv.Replanner.to_node <> mv.Replanner.from_node)
            o.Replanner.moves
       &&
-      (* The move list replays from the input assignment to the
-         outcome's assignment. *)
+      (* The move list replays from the input assignment: applied in
+         order to a scorer of the input on the same sample, each move
+         starts at its [from_node] and yields its [gain], the replayed
+         scorer reads the outcome's [ratio_after], and the replayed
+         assignment has the outcome's [margin_after]. *)
       let replayed = Array.copy assignment in
-      List.iter
+      let scorer = Rod.Local_search.make_scorer problem replayed 256 in
+      List.for_all
         (fun (mv : Replanner.move) ->
-          replayed.(mv.Replanner.op) <- mv.Replanner.to_node)
-        o.Replanner.moves;
-      replayed = o.Replanner.assignment)
+          let op = mv.Replanner.op in
+          let before = Rod.Local_search.feasible scorer in
+          let starts = replayed.(op) = mv.Replanner.from_node in
+          Rod.Local_search.move scorer op ~from_node:replayed.(op)
+            ~to_node:mv.Replanner.to_node;
+          replayed.(op) <- mv.Replanner.to_node;
+          starts && Rod.Local_search.feasible scorer - before = mv.Replanner.gain)
+        o.Replanner.moves
+      && float_of_int (Rod.Local_search.feasible scorer) /. 256.
+         = o.Replanner.ratio_after
+      && compare
+           (Some (Margin.of_assignment problem ~assignment:replayed ~rates))
+           o.Replanner.margin_after
+         = 0)
 
 let prop_accepted_never_worse =
   QCheck.Test.make
     ~name:"accepted replans never shrink ratio or margin; rejected ones \
            change nothing"
     ~count:60 arbitrary_instance (fun inst ->
-      let _, assignment, _, _, o = replan_instance inst in
+      let _, _, _, _, o = replan_instance inst in
       if o.Replanner.accepted then
         o.Replanner.ratio_after >= o.Replanner.ratio_before
         && o.Replanner.moves <> []
@@ -100,7 +115,6 @@ let prop_accepted_never_worse =
         | _ -> false
       else
         o.Replanner.moves = []
-        && o.Replanner.assignment = assignment
         && o.Replanner.ratio_after = o.Replanner.ratio_before)
 
 let prop_input_not_mutated =

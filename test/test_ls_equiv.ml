@@ -4,8 +4,9 @@
    mutate-and-undo driver (ls_reference.ml) bit for bit — assignment,
    ratio, move and pass counts — at pool sizes 1/2/4, including
    degenerate shapes; (2) the read-only primitives (gain, swap_gain,
-   relocation_gains) must equal the feasibility delta that actually
-   performing the move reports, on random problems. *)
+   best_relocation, relocation_positive_bound) must agree with the
+   feasibility delta that actually performing the move reports, and
+   with their full-scan oracles, on random problems. *)
 
 module Pool = Parallel.Pool
 module Vec = Linalg.Vec
@@ -156,28 +157,128 @@ let prop_swap_gain_matches_moves =
           done;
           !ok))
 
-(* The fused kernel must agree with the scalar primitive on every
-   target, and stay below the positive bound that gates it. *)
-let prop_fused_matches_gain =
-  QCheck.Test.make ~name:"relocation_gains = gain per target, <= bound"
-    ~count:60 arbitrary_instance (fun (lo, caps, assignment) ->
+(* Random problems with more nodes (so targets tie and orderings
+   matter), plus a random sequence of moves applied before the checks:
+   the saturated-node index must follow the moves. *)
+let moved_gen =
+  QCheck.Gen.(
+    let* m = 2 -- 10 in
+    let* d = 1 -- 3 in
+    let* n = 2 -- 8 in
+    let* entries = array_size (return (m * d)) (float_range 0.05 1.) in
+    let* caps = array_size (return n) (float_range 0.2 2.) in
+    let* assignment = array_size (return m) (0 -- (n - 1)) in
+    let* moves = list_size (0 -- 12) (pair (0 -- (m - 1)) (0 -- (n - 1))) in
+    let lo = Array.init m (fun j -> Array.sub entries (j * d) d) in
+    return ((lo, caps, assignment), moves))
+
+let arbitrary_moved =
+  QCheck.make
+    ~print:(fun (inst, moves) ->
+      print_instance inst ^ " moves = "
+      ^ String.concat ";"
+          (List.map (fun (j, i) -> Printf.sprintf "%d->%d" j i) moves))
+    moved_gen
+
+(* Build a scorer at [ways], replay the moves on it, then check [ok]
+   on every operator. *)
+let after_moves ((lo, caps, assignment), moves) ok =
+  let problem = Problem.create ~lo:(Mat.of_arrays lo) ~caps in
+  List.for_all
+    (fun ways ->
+      with_pool ways (fun pool ->
+          let assignment = Array.copy assignment in
+          let scorer = LS.make_scorer ~pool problem assignment samples in
+          List.iter
+            (fun (j, i) ->
+              if i <> assignment.(j) then begin
+                LS.move scorer j ~from_node:assignment.(j) ~to_node:i;
+                assignment.(j) <- i
+              end)
+            moves;
+          let all = ref true in
+          for j = 0 to Problem.n_ops problem - 1 do
+            if not (ok problem scorer assignment j) then all := false
+          done;
+          !all))
+    [ 1; 4 ]
+
+(* The lowest-index argmax of the positive gains, by a scan of the
+   scalar primitive: (gain, target), or (0, -1) when none is positive. *)
+let scan_best problem scorer j =
+  let best = ref 0 and target = ref (-1) in
+  for i = 0 to Problem.n_nodes problem - 1 do
+    let g = LS.gain scorer j ~to_node:i in
+    if g > !best then begin
+      best := g;
+      target := i
+    end
+  done;
+  (!best, !target)
+
+let prop_best_relocation_argmax =
+  QCheck.Test.make
+    ~name:"best_relocation = lowest-index argmax of gain (1/4)" ~count:100
+    arbitrary_moved (fun inst ->
+      after_moves inst (fun problem scorer _ j ->
+          let g = LS.best_relocation scorer j in
+          (g, LS.best_target scorer) = scan_best problem scorer j))
+
+(* The bound covers every target's gain, and a zero bound leaves no
+   gaining target.  (A nonzero bound can still leave none: a target
+   that wins a sample may break feasible ones.) *)
+let prop_bound_covers_gains =
+  QCheck.Test.make ~name:"relocation_positive_bound >= every gain (1/4)"
+    ~count:100 arbitrary_moved (fun inst ->
+      after_moves inst (fun problem scorer _ j ->
+          let bound = LS.relocation_positive_bound scorer j in
+          let covered = ref true in
+          for i = 0 to Problem.n_nodes problem - 1 do
+            if LS.gain scorer j ~to_node:i > bound then covered := false
+          done;
+          !covered && (bound > 0 || fst (scan_best problem scorer j) = 0)))
+
+let prop_bound_matches_full_scan =
+  QCheck.Test.make
+    ~name:"relocation_positive_bound = full-sample count (1/4)" ~count:100
+    arbitrary_moved (fun inst ->
+      after_moves inst (fun problem scorer assignment j ->
+          LS.relocation_positive_bound scorer j
+          = Ls_reference.relocation_positive_bound problem scorer ~assignment j))
+
+(* The margin repair with the cached top utilizations proposes the same
+   moves as the quadratic reference, from the same state. *)
+let repair_gen =
+  QCheck.Gen.(
+    let* m = 2 -- 12 in
+    let* d = 1 -- 3 in
+    let* n = 2 -- 7 in
+    let* entries = array_size (return (m * d)) (float_range 0.05 1.) in
+    let* caps = array_size (return n) (float_range 0.2 2.) in
+    let* assignment = array_size (return m) (0 -- (n - 1)) in
+    let* rates = array_size (return d) (float_range 0. 3.) in
+    let* budget = 0 -- 5 in
+    let lo = Array.init m (fun j -> Array.sub entries (j * d) d) in
+    return ((lo, caps, assignment), rates, budget))
+
+let prop_repair_matches_reference =
+  QCheck.Test.make ~name:"repair_margin moves = quadratic reference"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (inst, rates, budget) ->
+         Format.asprintf "%s rates = %a budget = %d" (print_instance inst)
+           Vec.pp rates budget)
+       repair_gen)
+    (fun ((lo, caps, assignment), rates, budget) ->
       let problem = Problem.create ~lo:(Mat.of_arrays lo) ~caps in
-      let m = Problem.n_ops problem and n = Problem.n_nodes problem in
-      List.for_all
-        (fun ways ->
-          with_pool ways (fun pool ->
-              let scorer = LS.make_scorer ~pool problem assignment samples in
-              let ok = ref true in
-              for j = 0 to m - 1 do
-                let gains = Array.copy (LS.relocation_gains scorer j) in
-                let bound = LS.relocation_positive_bound scorer j in
-                for i = 0 to n - 1 do
-                  if gains.(i) <> LS.gain scorer j ~to_node:i then ok := false;
-                  if gains.(i) > bound then ok := false
-                done
-              done;
-              !ok))
-        [ 1; 4 ])
+      let cost_of j = 0.5 *. float_of_int j in
+      let run repair =
+        let working = Array.copy assignment in
+        let scorer = LS.make_scorer problem working samples in
+        let result = repair problem scorer ~assignment:working ~rates ~cost_of budget in
+        (result, working)
+      in
+      run Dynamic.Replanner.repair_margin = run Ls_reference.repair_margin)
 
 (* make_scorer fills a node's load on a sample as one dot of the node's
    load vector with the QMC point.  Recount the feasible samples
@@ -299,9 +400,14 @@ let test_golden_midsize () =
                     ~rates:(Vec.scale (share *. h) direction)
                     problem ~assignment:!assignment
                 in
-                assignment := r.Dynamic.Replanner.assignment;
+                let next = Array.copy !assignment in
+                List.iter
+                  (fun (mv : Dynamic.Replanner.move) ->
+                    next.(mv.Dynamic.Replanner.op) <- mv.Dynamic.Replanner.to_node)
+                  r.Dynamic.Replanner.moves;
+                assignment := next;
                 Printf.sprintf "%s moves=%d before=%h after=%h accepted=%b"
-                  (digest r.Dynamic.Replanner.assignment)
+                  (digest next)
                   (List.length r.Dynamic.Replanner.moves)
                   r.Dynamic.Replanner.ratio_before
                   r.Dynamic.Replanner.ratio_after r.Dynamic.Replanner.accepted)
@@ -358,6 +464,9 @@ let suite =
       [
         prop_gain_matches_move;
         prop_swap_gain_matches_moves;
-        prop_fused_matches_gain;
+        prop_best_relocation_argmax;
+        prop_bound_covers_gains;
+        prop_bound_matches_full_scan;
+        prop_repair_matches_reference;
         prop_scorer_matches_recount;
       ]
